@@ -20,7 +20,6 @@ from .blackbox import (
     QueryLedger,
     RingOracle,
     RingSpec,
-    brute_force_enumerate,
     format_element,
     make_ring,
     parse_element_literal,
@@ -50,7 +49,7 @@ from .abelian import (
     decompose_element,
     decompose_group,
     present_group,
-    subgroup_order,
 )
+from .verify import ring_elements
 
 __version__ = "0.1.0"

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from .blackbox import ElementCode, RingOracle
 from .errors import LowConfidenceError, MembershipError, PreconditionError
 from .intlinalg import IntMatrix, LatticeBuilder, egcd, smith_normal_form
-from .qsim import HidingFunction, PrimitiveProvider, SubgroupDescriptor, _scalar_mul
+from .qsim import (
+    HidingFunction,
+    PrimitiveProvider,
+    SubgroupDescriptor,
+    _double_and_add,
+    combine_codes,
+)
 
 __all__ = [
     "AbelianPresentation",
@@ -23,7 +29,6 @@ __all__ = [
     "decompose_group",
     "decompose_element",
     "coset_canonical_form",
-    "subgroup_order",
     "ideal_lattice",
     "QuotientView",
     "combine_codes",
@@ -72,24 +77,6 @@ class InvariantFactorBasis:
 
     def order(self) -> int:
         return _product(self.s)
-
-
-def combine_codes(chan, codes, coeffs, zero: ElementCode | None = None) -> ElementCode:
-    """sum_j coeffs[j] * codes[j] through the oracle channel.
-
-    The empty combination needs an explicit zero code.
-    """
-    acc = None
-    for c, code in zip(coeffs, codes):
-        if c == 0:
-            continue
-        term = _scalar_mul(chan, code, c)
-        acc = term if acc is None else chan.add(acc, term)
-    if acc is None:
-        if zero is None:
-            raise PreconditionError("empty combination without a zero code")
-        return zero
-    return acc
 
 
 def present_group(
@@ -239,11 +226,6 @@ def _decompose_via_hidden_cycle(ring, x, basis, s, provider):
     return tuple((-a) % sj for a, sj in zip(acc[:l], basis.s))
 
 
-def subgroup_order(basis: InvariantFactorBasis) -> int:
-    """Product of the invariant-factor orders."""
-    return basis.order()
-
-
 def ideal_lattice(
     ring: RingOracle,
     members,
@@ -282,8 +264,8 @@ class QuotientView:
 
     Labels are coordinate reductions over the ambient basis; products are
     computed on representatives through the ring oracle and re-reduced.
-    ``mul``/``pow`` run metered (classical algorithm work); the ``*_cheat``
-    twins serve the simulation layer.
+    ``mul``/``pow`` run metered (classical algorithm work); ``mul_cheat``
+    serves the simulation layer.
     """
 
     def __init__(
@@ -317,21 +299,4 @@ class QuotientView:
 
     def pow(self, code: ElementCode, k: int) -> ElementCode:
         """code^k for k >= 1 by repeated squaring (metered)."""
-        return self._pow(code, k, self.ring.metered)
-
-    def pow_cheat(self, code: ElementCode, k: int) -> ElementCode:
-        return self._pow(code, k, self.ring.unmetered)
-
-    @staticmethod
-    def _pow(code, k, chan):
-        if k < 1:
-            raise ValueError("pow needs k >= 1")
-        acc = None
-        base = code
-        while k:
-            if k & 1:
-                acc = base if acc is None else chan.mul(acc, base)
-            k >>= 1
-            if k:
-                base = chan.mul(base, base)
-        return acc
+        return _double_and_add(self.ring.metered.mul, code, k)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from math import gcd, lcm
 
 from .errors import (
-    DeskCapError,
     InvalidCodeError,
     ParseError,
     RingConstructionError,
@@ -39,7 +38,6 @@ __all__ = [
     "OracleChannel",
     "RingOracle",
     "make_ring",
-    "brute_force_enumerate",
     "parse_spec_string",
     "parse_ring_file",
     "parse_element_literal",
@@ -422,7 +420,11 @@ class PolyQuotSpec(RingSpec):
         if not (text.startswith("[") and text.endswith("]")):
             raise ParseError(f"polyquot literal must be [c0, c1, ...], got {text!r}")
         body = text[1:-1].strip()
-        coeffs = [int(c) for c in body.split(",")] if body else []
+        coeffs = (
+            [_parse_int(c, "polyquot coefficient") for c in body.split(",")]
+            if body
+            else []
+        )
         if len(coeffs) > self.deg:
             # reduce higher powers through f
             acc = self.zero()
@@ -672,51 +674,6 @@ class RingOracle:
 def make_ring(spec: RingSpec, seed: int) -> RingOracle:
     """Construct a metered black-box oracle for the described ring."""
     return RingOracle(spec, seed)
-
-
-def brute_force_enumerate(ring: RingOracle, cap: int = DESK_CAP) -> set[ElementCode]:
-    """All element codes, by closing the generators under add and mul.
-
-    Queries run on the verification channel.  Refuses rings above ``cap``.
-    """
-    if ring._ring_size() > cap:
-        raise DeskCapError(
-            f"ring order {ring._ring_size()} exceeds desk-scale cap {cap}"
-        )
-    chan = ring.verification
-    gens = list(ring.generators)
-
-    def additive_closure(basis):
-        seen = set(basis)
-        frontier = list(basis)
-        while frontier:
-            x = frontier.pop()
-            for g in basis:
-                y = chan.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
-    # grow an additive generating list one product at a time; each appended
-    # product at least doubles the additive span, so the list stays short
-    seen = additive_closure(gens)
-    while True:
-        extra = None
-        for x in seen:
-            for g in ring.generators:
-                for p in (chan.mul(g, x), chan.mul(x, g)):
-                    if p not in seen:
-                        extra = p
-                        break
-                if extra:
-                    break
-            if extra:
-                break
-        if extra is None:
-            return seen
-        gens.append(extra)
-        seen = additive_closure(gens)
 
 
 # -- text formats --------------------------------------------------------------

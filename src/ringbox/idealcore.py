@@ -20,10 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, log2
 
-from .abelian import InvariantFactorBasis, combine_codes, decompose_element, decompose_group
+from .abelian import (
+    InvariantFactorBasis,
+    _basis_descriptor,
+    decompose_element,
+    decompose_group,
+)
 from .blackbox import ElementCode, RingOracle
 from .errors import ClosureError, MembershipError, PreconditionError
-from .qsim import PrimitiveProvider, SubgroupDescriptor
+from .qsim import PrimitiveProvider, SubgroupDescriptor, combine_codes
 
 __all__ = [
     "IdealSpec",
@@ -87,6 +92,12 @@ class ScaledSum(Provenance):
 
     coeffs: tuple[int, ...]
     terms: tuple[Provenance, ...]
+
+    @classmethod
+    def over(cls, coeffs, terms) -> "ScaledSum":
+        """The sum of coeffs[j] * terms[j], zero coefficients dropped."""
+        kept = [(c, t) for c, t in zip(coeffs, terms) if c]
+        return cls(tuple(c for c, _ in kept), tuple(t for _, t in kept))
 
     def evaluate(self, chan, ideal_gens, ring_gens, zero):
         codes = [t.evaluate(chan, ideal_gens, ring_gens, zero) for t in self.terms]
@@ -212,7 +223,7 @@ def accumulate_additive_generators(
         for side, gi in plan:
             r = ring_gens[gi]
             scaled = tuple(_mul_side(ring, side, r, h) for h in basis.h)
-            b_desc = SubgroupDescriptor(ring, basis.h, basis=basis)
+            b_desc = _basis_descriptor(ring, basis)
             rb_desc = SubgroupDescriptor(ring, scaled)
             if provider.is_subset_decision(rb_desc, b_desc):
                 continue
@@ -250,13 +261,7 @@ def _compose_provenance(side, ring_gen_index, coeffs, basis, entries):
             continue
         for j, w in enumerate(basis.to_original[t]):
             entry_coeffs[j] += c * w
-    terms = []
-    weights = []
-    for j, w in enumerate(entry_coeffs):
-        if w:
-            weights.append(w)
-            terms.append(entries[j][1])
-    inner = ScaledSum(tuple(weights), tuple(terms))
+    inner = ScaledSum.over(entry_coeffs, [prov for _, prov in entries])
     return SideProduct(side, ring_gen_index, inner)
 
 
@@ -302,16 +307,9 @@ def representation_from_additive(
     if basis is None:
         basis = decompose_group(ring, [c for c, _ in entries], provider)
     tensor = multiplication_tensor(ring, basis, provider)
-    provenance = []
-    for i in range(len(basis.h)):
-        weights = []
-        terms = []
-        for j, w in enumerate(basis.to_original[i]):
-            if w:
-                weights.append(w)
-                terms.append(entries[j][1])
-        provenance.append(ScaledSum(tuple(weights), tuple(terms)))
-    return BasisRepresentation(basis, tensor, tuple(provenance), trace)
+    terms = [prov for _, prov in entries]
+    provenance = tuple(ScaledSum.over(row, terms) for row in basis.to_original)
+    return BasisRepresentation(basis, tensor, provenance, trace)
 
 
 def find_basis_representation(
@@ -331,20 +329,12 @@ def find_basis_representation(
 def membership_witness(
     ring: RingOracle,
     r: ElementCode,
-    ideal: IdealSpec,
     basisrep: BasisRepresentation,
     provider: PrimitiveProvider,
 ) -> Provenance:
     """Expression for a member r over the original ideal generators."""
     basis = basisrep.basis
-    desc = SubgroupDescriptor(ring, basis.h, basis=basis)
-    if not provider.membership(r, desc):
+    if not provider.membership(r, _basis_descriptor(ring, basis)):
         raise MembershipError("element is not in the ideal")
     coords = decompose_element(ring, r, basis, provider)
-    weights = []
-    terms = []
-    for i, c in enumerate(coords):
-        if c:
-            weights.append(c)
-            terms.append(basisrep.provenance[i])
-    return ScaledSum(tuple(weights), tuple(terms))
+    return ScaledSum.over(coords, basisrep.provenance)

@@ -42,6 +42,7 @@ __all__ = [
     "HidingFunction",
     "CharacterSample",
     "PrimitiveProvider",
+    "combine_codes",
     "fork_seed",
 ]
 
@@ -128,31 +129,45 @@ class HidingFunction:
 
     def evaluate(self, z) -> object:
         """Label at coordinate vector z (used for spot checks)."""
-        chan = self.ring.unmetered
-        acc = None
-        for zj, g, s in zip(z, self.combo_generators, self.moduli):
-            k = zj % s
-            if k == 0:
-                continue
-            term = _scalar_mul(chan, g, k)
-            acc = term if acc is None else chan.add(acc, term)
-        if acc is None:
-            acc = self.ring._zero_code()
-        return self.label_of(acc)
+        coeffs = [zj % sj for zj, sj in zip(z, self.moduli)]
+        if not any(coeffs):
+            return self.label_of(self.ring._zero_code())
+        return self.label_of(
+            combine_codes(self.ring.unmetered, self.combo_generators, coeffs)
+        )
 
 
-def _scalar_mul(chan, code: ElementCode, k: int) -> ElementCode:
-    """k*code for k >= 1 by doubling."""
+def _double_and_add(op, code: ElementCode, k: int) -> ElementCode:
+    """code combined with itself k >= 1 times under the channel operation
+    ``op`` (k*code for add, code^k for mul), by doubling."""
     if k < 1:
-        raise ValueError("scalar_mul needs k >= 1")
+        raise ValueError("double-and-add needs k >= 1")
     acc = None
     base = code
     while k:
         if k & 1:
-            acc = base if acc is None else chan.add(acc, base)
+            acc = base if acc is None else op(acc, base)
         k >>= 1
         if k:
-            base = chan.add(base, base)
+            base = op(base, base)
+    return acc
+
+
+def combine_codes(chan, codes, coeffs, zero: ElementCode | None = None) -> ElementCode:
+    """sum_j coeffs[j] * codes[j] through the oracle channel.
+
+    The empty combination needs an explicit zero code.
+    """
+    acc = None
+    for c, code in zip(coeffs, codes):
+        if c == 0:
+            continue
+        term = _double_and_add(chan.add, code, c)
+        acc = term if acc is None else chan.add(acc, term)
+    if acc is None:
+        if zero is None:
+            raise PreconditionError("empty combination without a zero code")
+        return zero
     return acc
 
 
@@ -419,7 +434,7 @@ class PrimitiveProvider:
             den = Fraction(y % q, q).limit_denominator(c).denominator
             acc = lcm(acc, den)
             # acc divides c; acc*a = 0 certifies acc = c
-            if chan.add(_scalar_mul(chan, a, acc), a) == a:
+            if chan.add(_double_and_add(chan.add, a, acc), a) == a:
                 return acc
         raise LowConfidenceError("additive order did not stabilize")
 
@@ -475,15 +490,9 @@ class PrimitiveProvider:
         self.stats["samples"] += 1
         chan = sub.ring.unmetered
         coeffs = tuple(self.rng.randrange(s) for s in basis.s)
-        acc = None
-        for c, h in zip(coeffs, basis.h):
-            if c == 0:
-                continue
-            term = _scalar_mul(chan, h, c)
-            acc = term if acc is None else chan.add(acc, term)
-        if acc is None:
-            acc = sub.ring._zero_code()
-        return acc, coeffs
+        if not any(coeffs):
+            return sub.ring._zero_code(), coeffs
+        return combine_codes(chan, basis.h, coeffs), coeffs
 
     # ---- coordinate spans (cheat-layer service for decomposition) ----
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import ceil, log
 
 from .abelian import (
-    InvariantFactorBasis,
     QuotientView,
+    _basis_descriptor,
     combine_codes,
     coset_canonical_form,
     decompose_element,
@@ -38,7 +38,7 @@ from .idealcore import (
     representation_from_additive,
 )
 from .intlinalg import IntMatrix, euler_phi, factorize, solve_modular
-from .qsim import HidingFunction, PrimitiveProvider, SubgroupDescriptor, _scalar_mul
+from .qsim import HidingFunction, PrimitiveProvider
 
 __all__ = [
     "HomomorphismOracle",
@@ -98,10 +98,6 @@ def ring_representation(ring: RingOracle, provider: PrimitiveProvider) -> BasisR
     return find_basis_representation(
         ring, IdealSpec("left", ring.generators), provider
     )
-
-
-def _basis_descriptor(ring, basis: InvariantFactorBasis) -> SubgroupDescriptor:
-    return SubgroupDescriptor(ring, basis.h, basis=basis)
 
 
 def ideal_equal(
@@ -172,27 +168,36 @@ def inverse(
     return qv.pow(r, c - 1)
 
 
-def _zero_entry(ring, provider):
-    zero = additive_identity(ring, provider)
-    return (zero, ScaledSum((), ()))
-
-
-def _entries_from_coords(ring, coord_gens, basis, provenance, provider):
-    """Element codes plus composed provenance for coordinate vectors over a
-    represented basis."""
-    entries = []
-    for vec in coord_gens:
-        if not any(vec):
-            continue
-        code = combine_codes(ring.metered, basis.h, vec)
-        weights = []
-        terms = []
-        for i, c in enumerate(vec):
-            if c:
-                weights.append(c)
-                terms.append(provenance[i])
-        entries.append((code, ScaledSum(tuple(weights), tuple(terms))))
+def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
+    """(code, provenance) generators of the subgroup of (rep,+) hidden by
+    ``label``, composed over the represented basis; the zero entry when the
+    subgroup is trivial."""
+    hiding = HidingFunction(
+        ring=ring,
+        moduli=rep.orders,
+        combo_generators=rep.basis.h,
+        post=label,
+        name=name,
+    )
+    hidden = provider.solve_ahsp(hiding)
+    entries = [
+        (
+            combine_codes(ring.metered, rep.basis.h, vec),
+            ScaledSum.over(vec, rep.provenance),
+        )
+        for vec in hidden.generators
+        if any(vec)
+    ]
+    if not entries:
+        entries = [(additive_identity(ring, provider), ScaledSum((), ()))]
     return entries
+
+
+def _hidden_group(ring, rep: BasisRepresentation, label, name, provider):
+    """Additive generators of the hidden subgroup and their invariant-factor
+    basis."""
+    codes = tuple(c for c, _ in _hidden_entries(ring, rep, label, name, provider))
+    return codes, decompose_group(ring, codes, provider)
 
 
 def ideal_intersection(
@@ -215,19 +220,7 @@ def ideal_intersection(
     def label(code):
         return coset_canonical_form(ring, code, ring_rep.basis, lat_j, provider)
 
-    hiding = HidingFunction(
-        ring=ring,
-        moduli=rep_i.orders,
-        combo_generators=rep_i.basis.h,
-        post=label,
-        name="intersection",
-    )
-    hidden = provider.solve_ahsp(hiding)
-    entries = _entries_from_coords(
-        ring, hidden.generators, rep_i.basis, rep_i.provenance, provider
-    )
-    if not entries:
-        entries = [_zero_entry(ring, provider)]
+    entries = _hidden_entries(ring, rep_i, label, "intersection", provider)
     return representation_from_additive(ring, entries, provider)
 
 
@@ -257,22 +250,7 @@ def colon_ideal(
             for b in j_adds
         )
 
-    hiding = HidingFunction(
-        ring=ring,
-        moduli=ring_rep.orders,
-        combo_generators=ring_rep.basis.h,
-        post=label,
-        name="colon",
-    )
-    hidden = provider.solve_ahsp(hiding)
-    entries = _entries_from_coords(
-        ring, hidden.generators, ring_rep.basis, ring_rep.provenance, provider
-    )
-    if not entries:
-        entries = [_zero_entry(ring, provider)]
-    codes = tuple(c for c, _ in entries)
-    basis = decompose_group(ring, codes, provider)
-    return codes, basis
+    return _hidden_group(ring, ring_rep, label, "colon", provider)
 
 
 def annihilator(
@@ -294,22 +272,7 @@ def annihilator(
             return tuple(chan.mul(code, s) for s in s_elems)
         return tuple(chan.mul(s, code) for s in s_elems)
 
-    hiding = HidingFunction(
-        ring=ring,
-        moduli=ring_rep.orders,
-        combo_generators=ring_rep.basis.h,
-        post=label,
-        name="annihilator",
-    )
-    hidden = provider.solve_ahsp(hiding)
-    entries = _entries_from_coords(
-        ring, hidden.generators, ring_rep.basis, ring_rep.provenance, provider
-    )
-    if not entries:
-        entries = [_zero_entry(ring, provider)]
-    codes = tuple(c for c, _ in entries)
-    basis = decompose_group(ring, codes, provider)
-    return codes, basis
+    return _hidden_group(ring, ring_rep, label, "annihilator", provider)
 
 
 def ideal_order(
@@ -410,7 +373,7 @@ def additive_identity(ring: RingOracle, provider: PrimitiveProvider) -> ElementC
     c = provider.find_additive_order(ring, r)
     if c == 1:
         return r
-    return _scalar_mul(ring.metered, r, c)
+    return combine_codes(ring.metered, (r,), (c,))
 
 
 def additive_inverse(
@@ -420,7 +383,7 @@ def additive_inverse(
     c = provider.find_additive_order(ring, x)
     if c == 1:
         return x
-    return _scalar_mul(ring.metered, x, c - 1)
+    return combine_codes(ring.metered, (x,), (c - 1,))
 
 
 def _spot_check_hom(rho: HomomorphismOracle, provider: PrimitiveProvider, checks=8):
@@ -452,22 +415,7 @@ def hom_kernel(
     _spot_check_hom(rho, provider)
     ring = rho.domain
     domain_rep = domain_rep or ring_representation(ring, provider)
-    hiding = HidingFunction(
-        ring=ring,
-        moduli=domain_rep.orders,
-        combo_generators=domain_rep.basis.h,
-        post=rho.mapping,
-        name="hom-kernel",
-    )
-    hidden = provider.solve_ahsp(hiding)
-    entries = _entries_from_coords(
-        ring, hidden.generators, domain_rep.basis, domain_rep.provenance, provider
-    )
-    if not entries:
-        entries = [_zero_entry(ring, provider)]
-    codes = tuple(c for c, _ in entries)
-    basis = decompose_group(ring, codes, provider)
-    return codes, basis
+    return _hidden_group(ring, domain_rep, rho.mapping, "hom-kernel", provider)
 
 
 def is_injective(
@@ -515,6 +463,8 @@ def is_prime_ideal(
     with the reported confidence.  The default witness check is the exact
     divisor test on |S|-1; period finding backs it behind a flag.
     """
+    if i_spec.side != "two":
+        raise PreconditionError("primality is defined for two-sided ideals")
     eps = epsilon if epsilon is not None else provider.config.epsilon
     ring_rep = ring_rep or ring_representation(ring, provider)
     acc_i = accumulate_additive_generators(ring, i_spec, provider)

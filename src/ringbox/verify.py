@@ -7,7 +7,8 @@ the other side of a cross-check.
 
 from __future__ import annotations
 
-from .blackbox import ElementCode, RingOracle, brute_force_enumerate
+from .blackbox import DESK_CAP, ElementCode, RingOracle
+from .errors import DeskCapError
 
 __all__ = [
     "ring_elements",
@@ -23,15 +24,19 @@ __all__ = [
 ]
 
 
-def ring_elements(ring: RingOracle, cap=None) -> frozenset:
-    kwargs = {} if cap is None else {"cap": cap}
-    return frozenset(brute_force_enumerate(ring, **kwargs))
+def ring_elements(ring: RingOracle, cap: int = DESK_CAP) -> frozenset:
+    """All element codes: the two-sided ideal the ring generators generate.
+
+    Refuses rings above ``cap``.
+    """
+    if ring._ring_size() > cap:
+        raise DeskCapError(
+            f"ring order {ring._ring_size()} exceeds desk-scale cap {cap}"
+        )
+    return ideal_closure(ring, ring.generators, "two")
 
 
-def additive_span(ring: RingOracle, gens) -> frozenset:
-    """Subgroup of (R,+) generated by ``gens`` (empty input not allowed)."""
-    chan = ring.verification
-    gens = list(gens)
+def _additive_closure(chan, gens: list) -> set:
     seen = set(gens)
     frontier = list(gens)
     while frontier:
@@ -41,37 +46,49 @@ def additive_span(ring: RingOracle, gens) -> frozenset:
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return frozenset(seen)
+    return seen
+
+
+def additive_span(ring: RingOracle, gens) -> frozenset:
+    """Subgroup of (R,+) generated by ``gens`` (empty input not allowed)."""
+    return frozenset(_additive_closure(ring.verification, list(gens)))
 
 
 def ideal_closure(ring: RingOracle, gens, side: str) -> frozenset:
     """Smallest set containing ``gens`` closed under addition and one- or
-    two-sided multiplication by every ring element."""
+    two-sided multiplication by every ring element.
+
+    Grows an additive generating list one product at a time; each appended
+    product at least doubles the additive span, so the list stays short.
+    """
     chan = ring.verification
-    ring_gens = ring.generators
     basis = list(gens)
-    span = additive_span(ring, basis)
     while True:
-        fresh = None
-        for x in span:
-            for r in ring_gens:
-                candidates = []
-                if side in ("left", "two"):
-                    candidates.append(chan.mul(r, x))
-                if side in ("right", "two"):
-                    candidates.append(chan.mul(x, r))
-                for c in candidates:
-                    if c not in span:
-                        fresh = c
-                        break
-                if fresh:
-                    break
-            if fresh:
-                break
+        # scan the mutable set: its iteration order fixes which fresh product
+        # is found first, and with it the verification query count
+        span = _additive_closure(chan, basis)
+        fresh = next(
+            (
+                c
+                for x in span
+                for r in ring.generators
+                for c in _products(chan, r, x, side)
+                if c not in span
+            ),
+            None,
+        )
         if fresh is None:
-            return span
+            return frozenset(span)
         basis.append(fresh)
-        span = additive_span(ring, basis)
+
+
+def _products(chan, r, x, side) -> list:
+    out = []
+    if side in ("left", "two"):
+        out.append(chan.mul(r, x))
+    if side in ("right", "two"):
+        out.append(chan.mul(x, r))
+    return out
 
 
 def find_zero(ring: RingOracle, elements) -> ElementCode:

@@ -10,18 +10,17 @@ from ringbox.abelian import (
     decompose_group,
     ideal_lattice,
     present_group,
-    subgroup_order,
 )
 from ringbox.blackbox import (
     ModularSpec,
     PolyQuotSpec,
     ProductSpec,
-    brute_force_enumerate,
     make_ring,
     parse_element_literal,
 )
 from ringbox.errors import MembershipError
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
+from ringbox.verify import additive_span, ring_elements
 
 
 def provider(backend="exact", seed=1, **kw):
@@ -32,28 +31,13 @@ def codes(ring, *lits):
     return tuple(parse_element_literal(ring, str(v)) for v in lits)
 
 
-def brute_span(ring, gens):
-    chan = ring.verification
-    zero = combine_codes(chan, gens, (0,) * len(gens), zero=None) if False else None
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = chan.add(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
 def test_presentation_invariants():
     r = make_ring(ModularSpec(12), 3)
     p = provider()
     four, six = codes(r, 4, 6)
     pres = present_group(r, (four, six), p)
     assert pres.orders == (3, 2)
-    assert pres.group_order() == len(brute_span(r, (four, six)))
+    assert pres.group_order() == len(additive_span(r, (four, six)))
 
 
 def test_decompose_group_z2xz9_single_factor_18():
@@ -65,7 +49,7 @@ def test_decompose_group_z2xz9_single_factor_18():
     )
     basis = decompose_group(r, gens, p)
     assert basis.s == (18,)
-    assert subgroup_order(basis) == 18
+    assert basis.order() == 18
 
 
 def test_decompose_group_gens_4_6():
@@ -73,7 +57,7 @@ def test_decompose_group_gens_4_6():
     p = provider()
     basis = decompose_group(r, codes(r, 4, 6), p)
     assert basis.s == (6,)
-    assert brute_span(r, basis.h) == brute_span(r, codes(r, 2))
+    assert additive_span(r, basis.h) == additive_span(r, codes(r, 2))
 
 
 def test_decompose_single_generator_trivial():
@@ -82,7 +66,7 @@ def test_decompose_single_generator_trivial():
     (five,) = codes(r, 5)
     basis = decompose_group(r, (five,), p)
     assert basis.s == (12,)
-    assert basis.h == (five,) or brute_span(r, basis.h) == brute_span(r, (five,))
+    assert basis.h == (five,) or additive_span(r, basis.h) == additive_span(r, (five,))
 
 
 def test_divisibility_chain_and_order_product():
@@ -93,14 +77,14 @@ def test_divisibility_chain_and_order_product():
         (PolyQuotSpec(2, (1, 1, 1)), 3),
     ]:
         r = make_ring(spec, seed)
-        elems = sorted(brute_force_enumerate(r), key=lambda c: c.bits)
+        elems = sorted(ring_elements(r), key=lambda c: c.bits)
         p = provider()
         for _ in range(8):
             gens = tuple(rng.choice(elems) for _ in range(rng.randint(1, 3)))
             basis = decompose_group(r, gens, p)
             for a, b in zip(basis.s, basis.s[1:]):
                 assert b % a == 0
-            assert subgroup_order(basis) == len(brute_span(r, gens))
+            assert basis.order() == len(additive_span(r, gens))
 
 
 def test_to_from_original_verified_by_oracle():
@@ -154,10 +138,10 @@ def test_decompose_round_trip_1000_random():
     for spec, seed, gen_lits in cases:
         r = make_ring(spec, seed)
         p = provider()
-        elems = sorted(brute_force_enumerate(r), key=lambda c: c.bits)
+        elems = sorted(ring_elements(r), key=lambda c: c.bits)
         gens = tuple(parse_element_literal(r, lit) for lit in gen_lits)
         basis = decompose_group(r, gens, p)
-        assert subgroup_order(basis) == len(elems)  # spans the whole ring
+        assert basis.order() == len(elems)  # spans the whole ring
         chan = r.verification
         zero = combine_codes(chan, basis.h, (basis.s[0],) + (0,) * (len(basis.s) - 1))
         for _ in range(500):
@@ -170,7 +154,7 @@ def test_decompose_round_trip_1000_random():
 def test_decompose_element_sampled_backend():
     r = make_ring(ModularSpec(36), 4)
     p = provider("sampled", seed=21, epsilon=1e-3)
-    elems = sorted(brute_force_enumerate(r), key=lambda c: c.bits)
+    elems = sorted(ring_elements(r), key=lambda c: c.bits)
     basis = decompose_group(r, r.generators, p)
     chan = r.verification
     rng = random.Random(3)
@@ -187,7 +171,7 @@ def test_coset_canonical_form_partition():
     ring_basis = decompose_group(r, r.generators, p)
     (three,) = codes(r, 3)
     lat = ideal_lattice(r, (three,), ring_basis, p)
-    elems = brute_force_enumerate(r)
+    elems = ring_elements(r)
     labels = {}
     for e in elems:
         lab = coset_canonical_form(r, e, ring_basis, lat, p)
@@ -219,6 +203,6 @@ def test_quotient_view_size_and_labels():
 def test_subgroup_order_examples():
     r = make_ring(ModularSpec(12), 2)
     p = provider()
-    assert subgroup_order(decompose_group(r, codes(r, 4), p)) == 3
-    assert subgroup_order(decompose_group(r, codes(r, 1), p)) == 12
-    assert subgroup_order(decompose_group(r, codes(r, 0), p)) == 1
+    assert decompose_group(r, codes(r, 4), p).order() == 3
+    assert decompose_group(r, codes(r, 1), p).order() == 12
+    assert decompose_group(r, codes(r, 0), p).order() == 1

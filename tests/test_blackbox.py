@@ -11,13 +11,13 @@ from ringbox.blackbox import (
     ModularSpec,
     PolyQuotSpec,
     ProductSpec,
-    brute_force_enumerate,
     format_element,
     make_ring,
     parse_element_literal,
     parse_ring_file,
     parse_spec_string,
 )
+from ringbox.verify import ring_elements
 from ringbox.errors import (
     DeskCapError,
     InvalidCodeError,
@@ -37,19 +37,19 @@ def code_of(ring, literal):
 
 def test_make_ring_orders():
     r = make_ring(Z12, 7)
-    assert len(brute_force_enumerate(r)) == 12
+    assert len(ring_elements(r)) == 12
     assert r.width >= 4
 
     r = make_ring(M2Z2, 1)
-    assert len(brute_force_enumerate(r)) == 16
+    assert len(ring_elements(r)) == 16
 
     r = make_ring(Z2xZ9, 5)
-    assert len(brute_force_enumerate(r)) == 18
+    assert len(ring_elements(r)) == 18
 
 
 def test_f4_has_no_zero_divisors():
     r = make_ring(F4, 3)
-    elems = brute_force_enumerate(r)
+    elems = ring_elements(r)
     assert len(elems) == 4
     zero = code_of(r, "[0, 0]")
     nonzero = [e for e in elems if e != zero]
@@ -108,7 +108,7 @@ def test_ledger_counts():
 
 def test_invalid_code_rejected():
     r = make_ring(Z12, 1)
-    valid = brute_force_enumerate(r)
+    valid = ring_elements(r)
     # padded width guarantees non-element codes exist
     bad = next(
         ElementCode(bits, r.width)
@@ -126,7 +126,7 @@ def test_injectivity_and_determinism():
         r1 = make_ring(spec, 99)
         r2 = make_ring(spec, 99)
         assert r1.generators == r2.generators
-        elems = sorted(brute_force_enumerate(r1), key=lambda c: c.bits)
+        elems = sorted(ring_elements(r1), key=lambda c: c.bits)
         assert len(elems) == spec.order()
         for a in elems[:6]:
             for b in elems[:6]:
@@ -140,7 +140,7 @@ def test_ring_axioms_random_triples():
     rng = random.Random(2024)
     for spec in (Z12, M2Z2, F4, Z2xZ9):
         r = make_ring(spec, 5)
-        elems = list(brute_force_enumerate(r))
+        elems = list(ring_elements(r))
         chan = r.verification
         for _ in range(250):
             a, b, c = (rng.choice(elems) for _ in range(3))
@@ -158,7 +158,7 @@ def test_ring_axioms_random_triples():
 def test_desk_cap_refusal():
     r = make_ring(ModularSpec(1 << 21), 0)
     with pytest.raises(DeskCapError):
-        brute_force_enumerate(r)
+        ring_elements(r)
 
 
 def test_parse_spec_strings():
@@ -211,7 +211,7 @@ def test_generators_generate():
         PolyQuotSpec(3, (1, 1)),
     ):
         r = make_ring(spec, 7)
-        assert len(brute_force_enumerate(r)) == spec.order()
+        assert len(ring_elements(r)) == spec.order()
 
 
 @given(st.integers(2, 64), st.data())

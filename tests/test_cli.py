@@ -1,7 +1,10 @@
 import json
+import time
 
 import pytest
 
+from ringbox import cli
+from ringbox import ringops as ops
 from ringbox.cli import RunConfig, bench_queries, fit_exponent, main, run
 
 Z12 = "ring.kind = modular\nring.n = 12\n"
@@ -83,6 +86,11 @@ def test_parse_errors_exit_2(ring_file, capsys):
     assert code == 2
     code, _, _ = invoke(capsys, ["order", "--ring", str(path) + ".nope", "--ideal", "1"])
     assert code == 2
+    for eps in ("0", "2"):
+        code, _, err = invoke(
+            capsys, ["zero", "--ring", path, "--epsilon", eps, "--backend", "sampled"]
+        )
+        assert code == 2, err
 
 
 def test_unknown_command_exit_2(ring_file, capsys):
@@ -97,6 +105,12 @@ def test_precondition_exit_3(ring_file, capsys):
     assert code == 3
     code, _, err = invoke(capsys, ["prime", "--ring", path, "--ideal", "1"])
     assert code == 3
+    # M_2(Z_2) is simple: the left ideal of E11 is no two-sided ideal
+    m2 = ring_file("m2z2.ring", M2Z2)
+    code, _, err = invoke(
+        capsys, ["prime", "--ring", m2, "--ideal", "1,0;0,0", "--side", "left"]
+    )
+    assert code == 3, err
 
 
 def test_witness(ring_file, capsys):
@@ -259,3 +273,71 @@ def test_debug_codes_flag(ring_file, capsys):
     assert "codes" in json.loads(out)["result"]
     _, out, _ = invoke(capsys, ["basis", "--ring", path, "--ideal", "4", "--json"])
     assert "codes" not in json.loads(out)["result"]
+
+
+def test_polyquot_generator_lists(ring_file, capsys):
+    path = ring_file("f4.ring", F4)
+    for ideal in ("[0, 1], [1]", "[0, 1];;[1]"):
+        argv = ["order", "--ring", path, "--ideal", ideal, "--json"]
+        code, out, err = invoke(capsys, argv)
+        assert code == 0, err
+        assert json.loads(out)["result"]["order"] == 4
+    code, _, err = invoke(capsys, ["unit", "--ring", path, "--element", "[x]"])
+    assert code == 2, err
+
+
+def _wrong_colon(out, args):
+    ring = args[0]
+    return ring.generators, out[1]
+
+
+# command, op it calls, and how to corrupt the op's answer
+WRONG_ANSWERS = [
+    (["order", "--ideal", "3"], "ideal_order", lambda out, args: out + 1),
+    (["colon", "--ideal", "4", "--ideal2", "2"], "colon_ideal", _wrong_colon),
+    (["inverse", "--element", "5"], "inverse", lambda out, args: args[0].generators[0]),
+    (
+        ["prime", "--ideal", "3"],
+        "is_prime_ideal",
+        lambda out, args: ops.PrimalityVerdict(not out.prime, out.trials, out.confidence),
+    ),
+    (
+        ["hom-injective", "--ring2", "z6.ring", "--hom", "mod"],
+        "is_injective",
+        lambda out, args: not out,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, op, corrupt", WRONG_ANSWERS, ids=[w[0][0] for w in WRONG_ANSWERS]
+)
+def test_verify_catches_wrong_answer(argv, op, corrupt, ring_file, capsys, monkeypatch):
+    files = {"z12.ring": ring_file("z12.ring", Z12), "z6.ring": ring_file("z6.ring", Z6)}
+    argv = [files.get(a, a) for a in argv]
+    original = getattr(ops, op)
+
+    def wrong(*args, **kwargs):
+        return corrupt(original(*args, **kwargs), args)
+
+    full = [argv[0], "--ring", files["z12.ring"], *argv[1:]]
+    code, _, err = invoke(capsys, full)
+    assert code == 0, err
+    monkeypatch.setattr(ops, op, wrong)
+    code, _, err = invoke(capsys, full)
+    assert code == 0, err  # without --verify the wrong answer goes through
+    code, _, err = invoke(capsys, full + ["--verify"])
+    assert code == 1
+    assert "verification divergence" in err
+
+
+def test_verify_table_covers_commands():
+    assert set(cli._CHECKS) == set(cli.COMMANDS) - {"witness", "bench-queries"}
+
+
+def test_verify_refuses_ring_above_desk_cap(ring_file, capsys):
+    path = ring_file("big.ring", f"ring.kind = modular\nring.n = {1 << 21}\n")
+    t0 = time.perf_counter()
+    code, _, err = invoke(capsys, ["order", "--ring", path, "--ideal", "2", "--verify"])
+    assert code == 3, err
+    assert time.perf_counter() - t0 < 1.0

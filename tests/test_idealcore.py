@@ -197,10 +197,10 @@ def test_membership_witness():
     elems = sorted(verify.ring_elements(r), key=lambda c: c.bits)
     zero = verify.find_zero(r, elems)
     (eight,) = codes(r, 8)
-    w = membership_witness(r, eight, IdealSpec("left", gens), rep, p)
+    w = membership_witness(r, eight, rep, p)
     assert eval_prov(r, w, gens, zero) == eight
     # identity witness on a generator
-    w = membership_witness(r, gens[0], IdealSpec("left", gens), rep, p)
+    w = membership_witness(r, gens[0], rep, p)
     assert eval_prov(r, w, gens, zero) == gens[0]
 
     m = make_ring(MatrixSpec(2, ModularSpec(2)), 3)
@@ -210,7 +210,7 @@ def test_membership_witness():
     mrep = find_basis_representation(m, IdealSpec("left", (e11,)), pm)
     melems = sorted(verify.ring_elements(m), key=lambda c: c.bits)
     mzero = verify.find_zero(m, melems)
-    w = membership_witness(m, e21, IdealSpec("left", (e11,)), mrep, pm)
+    w = membership_witness(m, e21, mrep, pm)
     assert eval_prov(m, w, (e11,), mzero) == e21
 
 
@@ -223,7 +223,7 @@ def test_membership_witness_rejects_outsider():
     rep = find_basis_representation(r, IdealSpec("left", gens), p)
     (two,) = codes(r, 2)
     with pytest.raises(MembershipError):
-        membership_witness(r, two, IdealSpec("left", gens), rep, p)
+        membership_witness(r, two, rep, p)
 
 
 def test_tensor_ring_laws_through_coordinates():

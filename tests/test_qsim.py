@@ -172,11 +172,11 @@ def test_find_additive_order_examples():
 
 
 def test_additive_order_matches_brute_force_both_backends():
-    from ringbox.blackbox import brute_force_enumerate
+    from ringbox.verify import ring_elements
 
     for spec in (ModularSpec(36), PolyQuotSpec(2, (1, 1, 1))):
         r = make_ring(spec, 5)
-        elems = sorted(brute_force_enumerate(r), key=lambda c: c.bits)
+        elems = sorted(ring_elements(r), key=lambda c: c.bits)
         chan = r.verification
         for backend in ("exact", "sampled"):
             p = provider(backend, seed=8)

@@ -287,6 +287,18 @@ def test_prime_zero_ideal_in_field():
     assert not verify.is_prime_by_definition(m, zero_set, elems)
 
 
+def test_prime_needs_two_sided_ideal():
+    # M_2(Z_2) is simple, so the left ideal of E11 is not two-sided
+    m = make_ring(MatrixSpec(2, ModularSpec(2)), 3)
+    pm = provider()
+    e11 = lit(m, "1,0;0,0")
+    for side in ("left", "right"):
+        with pytest.raises(PreconditionError):
+            ops.is_prime_ideal(m, IdealSpec(side, (e11,)), pm)
+    with pytest.raises(PreconditionError):  # two-sided, it is the whole ring
+        ops.is_prime_ideal(m, IdealSpec("two", (e11,)), pm)
+
+
 def test_inverse_times_element_is_identity():
     rng = random.Random(3)
     r = make_ring(ModularSpec(36), 2)
