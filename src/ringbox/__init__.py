@@ -45,7 +45,6 @@ from .qsim import (
 from .abelian import (
     AbelianPresentation,
     InvariantFactorBasis,
-    coset_canonical_form,
     decompose_element,
     decompose_group,
     present_group,

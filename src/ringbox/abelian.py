@@ -3,13 +3,14 @@
 Given additive generators, this module finds the invariant-factor form of the
 group they span (additive orders, hidden-subgroup relation finding, Smith
 reduction), decomposes individual elements over such a basis, and
-canonicalizes cosets modulo a sub-lattice so quotient arithmetic can run on
-small coordinate labels.
+labels cosets modulo a sub-lattice so quotient arithmetic can run on small
+coordinate labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil, log2
 
 from .blackbox import ElementCode, RingOracle
 from .errors import LowConfidenceError, MembershipError, PreconditionError
@@ -28,7 +29,6 @@ __all__ = [
     "present_group",
     "decompose_group",
     "decompose_element",
-    "coset_canonical_form",
     "ideal_lattice",
     "QuotientView",
     "combine_codes",
@@ -169,7 +169,7 @@ def decompose_element(
         memo[x] = ()
         return ()
     s = provider.find_additive_order(ring, x)
-    retries = 1 if not provider.sampled else _log2_ceil(1.0 / provider.config.epsilon) + 2
+    retries = 1 if not provider.sampled else ceil(log2(1.0 / provider.config.epsilon)) + 2
     chan = ring.metered
     for _ in range(retries):
         vec = _decompose_via_hidden_cycle(ring, x, basis, s, provider)
@@ -183,15 +183,6 @@ def decompose_element(
             memo[x] = vec
             return vec
     raise LowConfidenceError("element decomposition did not verify")
-
-
-def _log2_ceil(v: float) -> int:
-    out = 0
-    acc = 1.0
-    while acc < v:
-        acc *= 2
-        out += 1
-    return out
 
 
 def _decompose_via_hidden_cycle(ring, x, basis, s, provider):
@@ -240,25 +231,6 @@ def ideal_lattice(
     return lat
 
 
-def coset_canonical_form(
-    ring: RingOracle,
-    x: ElementCode,
-    ring_basis: InvariantFactorBasis,
-    sub_lattice: LatticeBuilder,
-    provider: PrimitiveProvider,
-) -> tuple[int, ...]:
-    """Label equal for two elements iff they lie in the same coset of the
-    sub-lattice's subgroup.
-
-    Coordinates come from the provider's harvested span map (this label
-    function sits inside hiding maps, so lookups must be cheap).
-    """
-    coords = provider.span_coordinates(ring, ring_basis).get(x)
-    if coords is None:
-        raise MembershipError("element lies outside the ambient basis span")
-    return sub_lattice.reduce(coords)
-
-
 class QuotientView:
     """Arithmetic on R/I through canonical coset labels.
 
@@ -283,10 +255,7 @@ class QuotientView:
         self.size = sub_lattice.determinant()
 
     def label_of(self, code: ElementCode) -> tuple[int, ...]:
-        coords = self._coords.get(code)
-        if coords is None:
-            raise MembershipError("element lies outside the ambient basis span")
-        return self.lattice.reduce(coords)
+        return self.lattice.reduce(self._coords(code))
 
     def zero_label(self) -> tuple[int, ...]:
         return self.lattice.reduce((0,) * len(self.basis.s))

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
-from math import gcd, lcm
+from dataclasses import dataclass
+from functools import cached_property
+from math import gcd, lcm, prod
 
 from .errors import (
     InvalidCodeError,
@@ -71,13 +72,49 @@ def _is_prime(n: int) -> bool:
 
 class RingSpec:
     """Description of a concrete finite ring; subclasses define the arithmetic
-    on canonical element values and an indexing of elements by [0, order)."""
+    on canonical element values and the additive group in coordinates.
+
+    (R,+) is Z_{m_1} x ... x Z_{m_n} for m = ``additive_moduli()``;
+    ``coords``/``from_coords`` convert between a value and its coordinate
+    tuple (each c_i in [0, m_i)).  The order, the indexing of elements by
+    [0, order) (mixed radix, first coordinate most significant) and additive
+    orders all follow from the coordinates.
+    """
 
     def validate(self):
         raise NotImplementedError
 
-    def order(self) -> int:
+    def additive_moduli(self) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def coords(self, a) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def from_coords(self, c):
+        raise NotImplementedError
+
+    @cached_property
+    def _moduli(self) -> tuple[int, ...]:
+        return tuple(self.additive_moduli())
+
+    def order(self) -> int:
+        return prod(self._moduli)
+
+    def index_of(self, a) -> int:
+        idx = 0
+        for c, m in zip(self.coords(a), self._moduli):
+            idx = idx * m + c
+        return idx
+
+    def element_at(self, idx: int):
+        out = []
+        for m in reversed(self._moduli):
+            idx, c = divmod(idx, m)
+            out.append(c)
+        return self.from_coords(out[::-1])
+
+    def additive_order(self, a) -> int:
+        return lcm(*(m // gcd(m, c) for c, m in zip(self.coords(a), self._moduli)))
 
     def zero(self):
         raise NotImplementedError
@@ -89,15 +126,6 @@ class RingSpec:
         raise NotImplementedError
 
     def mul(self, a, b):
-        raise NotImplementedError
-
-    def index_of(self, a) -> int:
-        raise NotImplementedError
-
-    def element_at(self, idx: int):
-        raise NotImplementedError
-
-    def additive_order(self, a) -> int:
         raise NotImplementedError
 
     def generator_values(self) -> list:
@@ -121,8 +149,14 @@ class ModularSpec(RingSpec):
         if self.n < 2:
             raise RingConstructionError(f"modular: n must be >= 2, got n={self.n}")
 
-    def order(self):
-        return self.n
+    def additive_moduli(self):
+        return (self.n,)
+
+    def coords(self, a):
+        return (a,)
+
+    def from_coords(self, c):
+        return c[0]
 
     def zero(self):
         return 0
@@ -135,15 +169,6 @@ class ModularSpec(RingSpec):
 
     def mul(self, a, b):
         return (a * b) % self.n
-
-    def index_of(self, a):
-        return a
-
-    def element_at(self, idx):
-        return idx
-
-    def additive_order(self, a):
-        return self.n // gcd(self.n, a)
 
     def generator_values(self):
         return [1]
@@ -172,11 +197,19 @@ class ProductSpec(RingSpec):
         for f in self.factors:
             f.validate()
 
-    def order(self):
-        out = 1
+    def additive_moduli(self):
+        return tuple(m for f in self.factors for m in f._moduli)
+
+    def coords(self, a):
+        return tuple(c for f, x in zip(self.factors, a) for c in f.coords(x))
+
+    def from_coords(self, c):
+        out, at = [], 0
         for f in self.factors:
-            out *= f.order()
-        return out
+            n = len(f._moduli)
+            out.append(f.from_coords(c[at : at + n]))
+            at += n
+        return tuple(out)
 
     def zero(self):
         return tuple(f.zero() for f in self.factors)
@@ -189,22 +222,6 @@ class ProductSpec(RingSpec):
 
     def mul(self, a, b):
         return tuple(f.mul(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def index_of(self, a):
-        idx = 0
-        for f, x in zip(self.factors, a):
-            idx = idx * f.order() + f.index_of(x)
-        return idx
-
-    def element_at(self, idx):
-        out = []
-        for f in reversed(self.factors):
-            idx, r = divmod(idx, f.order())
-            out.append(f.element_at(r))
-        return tuple(reversed(out))
-
-    def additive_order(self, a):
-        return lcm(*(f.additive_order(x) for f, x in zip(self.factors, a)))
 
     def generator_values(self):
         gens = []
@@ -246,8 +263,16 @@ class MatrixSpec(RingSpec):
             raise RingConstructionError(f"matrix: k must be >= 1, got k={self.k}")
         self.base.validate()
 
-    def order(self):
-        return self.base.order() ** (self.k * self.k)
+    def additive_moduli(self):
+        return self.base._moduli * (self.k * self.k)
+
+    def coords(self, a):
+        return tuple(c for row in a for x in row for c in self.base.coords(x))
+
+    def from_coords(self, c):
+        k, n = self.k, len(self.base._moduli)
+        flat = [self.base.from_coords(c[i * n : (i + 1) * n]) for i in range(k * k)]
+        return tuple(tuple(flat[i * k : (i + 1) * k]) for i in range(k))
 
     def zero(self):
         z = self.base.zero()
@@ -277,28 +302,6 @@ class MatrixSpec(RingSpec):
                 row.append(acc)
             out.append(tuple(row))
         return tuple(out)
-
-    def index_of(self, a):
-        idx = 0
-        n = self.base.order()
-        for row in a:
-            for x in row:
-                idx = idx * n + self.base.index_of(x)
-        return idx
-
-    def element_at(self, idx):
-        n = self.base.order()
-        flat = []
-        for _ in range(self.k * self.k):
-            idx, r = divmod(idx, n)
-            flat.append(self.base.element_at(r))
-        flat.reverse()
-        return tuple(
-            tuple(flat[i * self.k : (i + 1) * self.k]) for i in range(self.k)
-        )
-
-    def additive_order(self, a):
-        return lcm(*(self.base.additive_order(x) for row in a for x in row))
 
     def generator_values(self):
         if self.k == 1:
@@ -361,8 +364,15 @@ class PolyQuotSpec(RingSpec):
     def deg(self):
         return len(self.f) - 1
 
-    def order(self):
-        return self.p ** self.deg
+    def additive_moduli(self):
+        return (self.p,) * self.deg
+
+    # coordinates run high-to-low, so the leading coefficient is most significant
+    def coords(self, a):
+        return tuple(reversed(a))
+
+    def from_coords(self, c):
+        return tuple(reversed(c))
 
     def zero(self):
         return (0,) * self.deg
@@ -387,22 +397,6 @@ class PolyQuotSpec(RingSpec):
                 for j in range(d):
                     conv[i - d + j] = (conv[i - d + j] - c * self.f[j]) % p
         return tuple(v % p for v in conv[:d])
-
-    def index_of(self, a):
-        idx = 0
-        for c in reversed(a):
-            idx = idx * self.p + c
-        return idx
-
-    def element_at(self, idx):
-        out = []
-        for _ in range(self.deg):
-            idx, r = divmod(idx, self.p)
-            out.append(r)
-        return tuple(out)
-
-    def additive_order(self, a):
-        return self.p if any(a) else 1
 
     def generator_values(self):
         gens = [self.one()]
@@ -633,6 +627,10 @@ class RingOracle:
 
     def _additive_order(self, code: ElementCode) -> int:
         return self.spec.additive_order(self._decode(code))
+
+    def _coords(self, code: ElementCode) -> tuple[int, ...]:
+        """Additive coordinates of the element, over ``spec.additive_moduli()``."""
+        return self.spec.coords(self._decode(code))
 
     def _ring_size(self) -> int:
         return self._size

@@ -35,6 +35,7 @@ from .errors import (
     MembershipError,
     ParseError,
     PreconditionError,
+    RingConstructionError,
     VerificationError,
 )
 from .idealcore import IdealSpec, find_basis_representation, membership_witness
@@ -230,6 +231,12 @@ class _Session:
             raise ParseError(f"cannot parse {what}: {text!r}")
         return tuple(parse_element_literal(self.ring, p) for p in parts)
 
+    def parse_element(self, text, what):
+        elems = self.parse_elements(text, what)
+        if len(elems) != 1:
+            raise ParseError(f"{what} takes one element, got {len(elems)}")
+        return elems[0]
+
     def ideal_spec(self, text, what="--ideal", side_default="left") -> IdealSpec:
         gens = self.parse_elements(text, what)
         size = self.ring._ring_size()
@@ -403,7 +410,7 @@ def _cmd_equal(session):
 def _cmd_member(session):
     cfg = session.config
     spec = session.ideal_spec(cfg.ideal)
-    (x,) = session.parse_elements(cfg.element, "--element")
+    x = session.parse_element(cfg.element, "--element")
     inside = ops.ideal_contains(session.ring, spec, x, session.provider)
     return {"member": inside}, [f"{cfg.element} in I: {_yes(inside)}"], (spec, x, inside)
 
@@ -411,7 +418,7 @@ def _cmd_member(session):
 def _cmd_witness(session):
     cfg = session.config
     spec = session.ideal_spec(cfg.ideal)
-    (x,) = session.parse_elements(cfg.element, "--element")
+    x = session.parse_element(cfg.element, "--element")
     rep = find_basis_representation(session.ring, spec, session.provider)
     w = membership_witness(session.ring, x, rep, session.provider)
     zero = ops.additive_identity(session.ring, session.provider)
@@ -470,7 +477,7 @@ def _cmd_annihilate(session):
 
 def _cmd_unit(session):
     cfg = session.config
-    (x,) = session.parse_elements(cfg.element, "--element")
+    x = session.parse_element(cfg.element, "--element")
     verdict = ops.is_unit(session.ring, x, session.provider, session.ring_rep)
     return (
         {"unit": verdict},
@@ -480,7 +487,7 @@ def _cmd_unit(session):
 
 
 def _cmd_inverse(session):
-    (x,) = session.parse_elements(session.config.element, "--element")
+    x = session.parse_element(session.config.element, "--element")
     inv = ops.inverse(session.ring, x, session.provider, session.ring_rep)
     return {"inverse": session.fmt(inv)}, [f"inverse: {session.fmt(inv)}"], (x, inv)
 
@@ -496,15 +503,15 @@ def _cmd_zero(session):
 
 
 def _cmd_neg(session):
-    (x,) = session.parse_elements(session.config.element, "--element")
+    x = session.parse_element(session.config.element, "--element")
     y = ops.additive_inverse(session.ring, x, session.provider)
     return {"neg": session.fmt(y)}, [f"-x = {session.fmt(y)}"], (x, y)
 
 
 def _cmd_solve(session):
     cfg = session.config
-    (a,) = session.parse_elements(cfg.a, "--a")
-    (b,) = session.parse_elements(cfg.b, "--b")
+    a = session.parse_element(cfg.a, "--a")
+    b = session.parse_element(cfg.b, "--b")
     x = ops.solve_linear(session.ring, a, b, session.provider, session.ring_rep)
     if x is None:
         return {"solution": None}, ["no solution"], (a, b, x)
@@ -643,6 +650,8 @@ def _describe(session, value) -> str:
 def bench_queries(config: RunConfig):
     """Query-count table for find_basis_representation over a ring family,
     with the brute-force enumeration channel as the comparator column."""
+    if not 1 <= config.k_min <= config.k_max:
+        raise ParseError("bench-queries needs 1 <= --k-min <= --k-max")
     rows = []
     for k in range(config.k_min, config.k_max + 1):
         if config.family == "modular":
@@ -755,7 +764,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         code, report, human = run(config)
-    except ParseError as exc:
+    except (ParseError, RingConstructionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, MembershipError) as exc:

@@ -184,15 +184,8 @@ def _mul_side(ring: RingOracle, side: str, r: ElementCode, x: ElementCode) -> El
 
 def _scan_plan(ring: RingOracle, side: str, ring_generators):
     gens = tuple(ring_generators) if ring_generators is not None else ring.generators
-    if side == "left":
-        return [("left", i) for i in range(len(gens))], gens
-    if side == "right":
-        return [("right", i) for i in range(len(gens))], gens
-    plan = []
-    for i in range(len(gens)):
-        plan.append(("left", i))
-        plan.append(("right", i))
-    return plan, gens
+    sides = ("left", "right") if side == "two" else (side,)
+    return [(s, i) for i in range(len(gens)) for s in sides], gens
 
 
 def accumulate_additive_generators(

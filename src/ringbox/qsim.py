@@ -2,13 +2,19 @@
 order finding, uniform subgroup sampling.
 
 Two backends share one interface.  The *exact* backend answers from ground
-truth (set algebra over the ring construction).  The *sampled* backend
-consults the same ground truth internally but exposes only measurement-shaped
-data: swap-test shots with the correct Bernoulli law, characters drawn
-uniformly from the annihilator dual, and period-finding outcomes concentrated
-near multiples of q/c followed by continued-fraction reconstruction.
-Consumers are written against the sample interface and never receive the
-hidden structure directly.
+truth: lattice algebra over the additive coordinates of the ring
+construction, so no answer walks a subgroup element by element.  The
+subgroup A spanned by generators g_j is the lattice L_A spanned by
+coords(g_j) and the moduli m_i e_i, so |A| = prod(m_i) / det(L_A) and
+|A∩B| = |A||B| / |A+B|; two cosets meet exactly when the difference of their
+offsets lies in L_A + L_B.  Hidden subgroups are kernels of additive maps,
+read off one Hermite form.  The *sampled* backend consults the same ground
+truth internally but exposes only measurement-shaped data: swap-test shots
+with the correct Bernoulli law, characters drawn uniformly from the
+annihilator dual, and period-finding outcomes concentrated near multiples of
+q/c followed by continued-fraction reconstruction.  Consumers are written
+against the sample interface and never receive the hidden structure
+directly.
 
 All ground-truth queries run on the ring's unmetered channel: a stand-in
 quantum device's internal oracle calls are not classical algorithm queries.
@@ -19,13 +25,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm, log, sqrt
+from math import ceil, lcm, log, prod, sqrt
 from random import Random
 
 from .blackbox import ElementCode, RingOracle
 from .errors import (
     HidingContractError,
     LowConfidenceError,
+    MembershipError,
     PreconditionError,
 )
 from .intlinalg import (
@@ -55,21 +62,21 @@ def fork_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+# swap-test shots per overlap estimate, and the least number per decision
+SWAP_SAMPLES = 48
+
+
 @dataclass(frozen=True)
 class ProviderConfig:
-    """Backend selection and sampling budgets."""
+    """Backend selection and error budget."""
 
     backend: str = "exact"  # "exact" | "sampled"
-    swap_samples: int = 48
-    character_batch: int | None = None  # None -> ambient rank + 32
     epsilon: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.backend not in ("exact", "sampled"):
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.swap_samples < 1:
-            raise ValueError("swap_samples must be >= 1")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
 
@@ -86,9 +93,6 @@ class SubgroupDescriptor:
     generators: tuple[ElementCode, ...]
     offset: ElementCode | None = None
     basis: object | None = None  # InvariantFactorBasis, once known
-
-    def cache_key(self):
-        return (self.ring._key, self.generators, self.offset)
 
 
 @dataclass(frozen=True)
@@ -113,28 +117,82 @@ class HidingFunction:
     """Function on Z_{s_1} x ... x Z_{s_l} that is constant and distinct on
     cosets of a hidden subgroup.
 
-    Every hiding map used here has the shape z -> post(sum_j z_j * g_j); the
-    combo form lets the solver walk the coset graph with one group operation
-    per edge.  ``post`` defaults to the identity (labels are element codes).
+    Every hiding map used here has the shape z -> post(sum_j z_j * g_j)
+    modulo ``target``: ``post`` is an additive map from element codes into
+    Z^p and ``target`` a full-rank lattice in Z^p, so the hidden subgroup is
+    the kernel.  Both default to the ring's own coordinates (labels are then
+    the elements themselves).
     """
 
     ring: RingOracle
     moduli: tuple[int, ...]
     combo_generators: tuple[ElementCode, ...]
-    post: object = None  # callable code -> hashable label
+    post: object = None  # callable code -> coordinate vector, additive mod target
+    target: LatticeBuilder | None = None
     name: str = ""
 
+    def __post_init__(self):
+        if (self.post is None) != (self.target is None):
+            raise PreconditionError("a hiding map needs both post and target")
+        if self.post is None:
+            object.__setattr__(self, "post", self.ring._coords)
+            object.__setattr__(self, "target", _moduli_lattice(self.ring))
+
     def label_of(self, code: ElementCode):
-        return code if self.post is None else self.post(code)
+        return self.target.reduce(self.post(code))
 
     def evaluate(self, z) -> object:
         """Label at coordinate vector z (used for spot checks)."""
         coeffs = [zj % sj for zj, sj in zip(z, self.moduli)]
-        if not any(coeffs):
-            return self.label_of(self.ring._zero_code())
-        return self.label_of(
-            combine_codes(self.ring.unmetered, self.combo_generators, coeffs)
+        chan, zero = self.ring.unmetered, self.ring._zero_code()
+        return self.label_of(combine_codes(chan, self.combo_generators, coeffs, zero))
+
+
+def _moduli_lattice(ring: RingOracle) -> LatticeBuilder:
+    moduli = ring.spec._moduli
+    return LatticeBuilder(len(moduli), seed_moduli=moduli)
+
+
+def _stacked_lattice(images, target: LatticeBuilder) -> LatticeBuilder:
+    """Hermite form over Z^(p+k) of the columns (t; 0) for the target's
+    basis columns t and (images[j]; e_j).  Its columns with a zero head span
+    the kernel {z : sum_j z_j images[j] in target}; the heads of the others
+    span the image lattice plus the target."""
+    k = len(images)
+    lat = LatticeBuilder(target.dim + k)
+    for col in target.basis_columns():
+        lat.add(col + (0,) * k)
+    for j, v in enumerate(images):
+        lat.add(tuple(v) + tuple(1 if i == j else 0 for i in range(k)))
+    return lat
+
+
+class _Span:
+    """Subgroup of (R,+) spanned by a generator tuple, in the spec's
+    additive coordinates (the stacked lattice of coords(g_j) over the
+    moduli)."""
+
+    def __init__(self, ring: RingOracle, gens):
+        self.dim = len(ring.spec._moduli)
+        self.stacked = _stacked_lattice(
+            [ring._coords(g) for g in gens], _moduli_lattice(ring)
         )
+        # the head columns: an echelon basis of the subgroup's lattice L
+        self.columns = tuple(
+            col[: self.dim] for col in self.stacked.basis_columns() if any(col[: self.dim])
+        )
+        self.lattice = LatticeBuilder(self.dim)
+        for col in self.columns:
+            self.lattice.add(col)
+        self.order = ring._ring_size() // self.lattice.determinant()
+
+    def coordinates(self, ring: RingOracle, code: ElementCode, orders):
+        """n with code = sum_j n_j g_j and 0 <= n_j < orders[j], for
+        independent generators of the given orders."""
+        rest = self.stacked.reduce(ring._coords(code) + (0,) * len(orders))
+        if any(rest[: self.dim]):
+            raise MembershipError("element lies outside the ambient basis span")
+        return tuple((-v) % s for v, s in zip(rest[self.dim :], orders))
 
 
 def _double_and_add(op, code: ElementCode, k: int) -> ElementCode:
@@ -178,15 +236,12 @@ class PrimitiveProvider:
         self.config = config
         self.rng = Random(fork_seed(config.seed, "provider"))
         self.stats = {"decisions": 0, "characters": 0, "orders": 0, "samples": 0}
-        self._closure_cache: dict = {}
-        self._span_maps: dict = {}
+        self._spans: dict = {}
         self.decomp_memo: dict = {}
 
     def fork(self, label: str) -> "PrimitiveProvider":
         cfg = ProviderConfig(
             backend=self.config.backend,
-            swap_samples=self.config.swap_samples,
-            character_batch=self.config.character_batch,
             epsilon=self.config.epsilon,
             seed=fork_seed(self.config.seed, label),
         )
@@ -200,43 +255,37 @@ class PrimitiveProvider:
         # false acceptance of "overlap 1" when the true overlap is <= 1/2 has
         # per-shot probability at most (1+1/4)/2 = 5/8
         need = ceil(log(1.0 / self.config.epsilon) / log(8.0 / 5.0))
-        return max(self.config.swap_samples, need, 1)
+        return max(SWAP_SAMPLES, need)
 
-    # ---- set algebra over descriptors (ground truth) ----
+    # ---- lattice algebra over descriptors (ground truth) ----
 
-    def _subgroup_elements(self, desc: SubgroupDescriptor) -> frozenset:
-        key = (desc.ring._key, desc.generators)
-        cached = self._closure_cache.get(key)
-        if cached is None:
-            chan = desc.ring.unmetered
-            zero = desc.ring._zero_code()
-            seen = {zero}
-            frontier = [zero]
-            gens = [g for g in desc.generators]
-            while frontier:
-                x = frontier.pop()
-                for g in gens:
-                    y = chan.add(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-            cached = frozenset(seen)
-            self._closure_cache[key] = cached
-        return cached
-
-    def _coset_elements(self, desc: SubgroupDescriptor) -> frozenset:
-        base = self._subgroup_elements(desc)
-        if desc.offset is None:
-            return base
-        chan = desc.ring.unmetered
-        return frozenset(chan.add(desc.offset, x) for x in base)
+    def _span(self, ring: RingOracle, gens) -> _Span:
+        key = (ring._key, gens)
+        span = self._spans.get(key)
+        if span is None:
+            span = self._spans[key] = _Span(ring, gens)
+        return span
 
     def _exact_overlap(self, a: SubgroupDescriptor, b: SubgroupDescriptor) -> Fraction:
         if a.ring is not b.ring:
             raise PreconditionError("descriptors live in different rings")
-        sa = self._coset_elements(a)
-        sb = self._coset_elements(b)
-        return Fraction(len(sa & sb), max(len(sa), len(sb)))
+        ring = a.ring
+        sa = self._span(ring, a.generators)
+        sb = self._span(ring, b.generators)
+        if sa is sb:
+            total = sa.lattice
+        else:
+            total = LatticeBuilder(sa.dim)
+            for col in sa.columns + sb.columns:
+                total.add(col)
+        offset = [0] * sa.dim
+        for off, sign in ((a.offset, 1), (b.offset, -1)):
+            if off is not None:
+                offset = [u + sign * v for u, v in zip(offset, ring._coords(off))]
+        if not total.contains(offset):
+            return Fraction(0)
+        meet = sa.order * sb.order * total.determinant() // ring._ring_size()
+        return Fraction(meet, max(sa.order, sb.order))
 
     # ---- swap-test interface ----
 
@@ -253,9 +302,8 @@ class PrimitiveProvider:
         c = self._exact_overlap(a, b)
         if not self.sampled:
             return float(c)
-        t = self.config.swap_samples
-        zeros = self.swap_shots(c, t)
-        return sqrt(max(0.0, 2.0 * zeros / t - 1.0))
+        zeros = self.swap_shots(c, SWAP_SAMPLES)
+        return sqrt(max(0.0, 2.0 * zeros / SWAP_SAMPLES - 1.0))
 
     def is_subset_decision(self, a: SubgroupDescriptor, b: SubgroupDescriptor) -> bool:
         """True iff the two coset states coincide (overlap exactly 1).
@@ -281,36 +329,6 @@ class PrimitiveProvider:
 
     # ---- hidden subgroup machinery ----
 
-    def _coset_transversal(self, hiding: HidingFunction):
-        """Walk the label graph; returns (reps, lattice) where reps maps each
-        label to one coordinate representative and lattice spans all relations
-        discovered (Schreier generators plus ambient s_j e_j)."""
-        k = len(hiding.moduli)
-        chan = hiding.ring.unmetered
-        zero_code = hiding.ring._zero_code()
-        zero = (0,) * k
-        lattice = LatticeBuilder(k, seed_moduli=hiding.moduli)
-        reps = {hiding.label_of(zero_code): (zero, zero_code)}
-        queue = [(zero, zero_code)]
-        while queue:
-            z, code = queue.pop()
-            for j in range(k):
-                if hiding.moduli[j] == 1:
-                    continue
-                w = list(z)
-                w[j] += 1
-                nxt_code = chan.add(code, hiding.combo_generators[j])
-                lab = hiding.label_of(nxt_code)
-                known = reps.get(lab)
-                if known is None:
-                    reps[lab] = (tuple(w), nxt_code)
-                    queue.append((tuple(w), nxt_code))
-                else:
-                    rel = [a - b for a, b in zip(w, known[0])]
-                    if any(rel):
-                        lattice.add(rel)
-        return reps, lattice
-
     def _spot_check(self, hiding: HidingFunction, lattice: LatticeBuilder, checks=6):
         k = len(hiding.moduli)
         cols = lattice.basis_columns()
@@ -327,17 +345,22 @@ class PrimitiveProvider:
                     f"hiding {hiding.name or '<anonymous>'} is not constant on cosets"
                 )
 
-    def _hidden_subgroup_exact(self, hiding: HidingFunction):
-        reps, lattice = self._coset_transversal(hiding)
+    def _hidden_subgroup_exact(self, hiding: HidingFunction) -> LatticeBuilder:
+        """The hidden subgroup's lattice over Z^l (relations and s_j e_j):
+        the kernel of z -> sum_j z_j post(g_j) modulo the target."""
+        images = [hiding.post(g) for g in hiding.combo_generators]
+        dim = hiding.target.dim
+        stacked = _stacked_lattice(images, hiding.target)
+        lattice = LatticeBuilder(len(hiding.moduli), seed_moduli=hiding.moduli)
+        for col in stacked.basis_columns():
+            if not any(col[:dim]):
+                lattice.add(col[dim:])
         self._spot_check(hiding, lattice)
-        return reps, lattice
+        return lattice
 
     def _coord_subgroup_from_lattice(self, moduli, lattice: LatticeBuilder) -> CoordSubgroup:
         cols = lattice.basis_columns()
-        ambient = 1
-        for s in moduli:
-            ambient *= s
-        order = ambient // lattice.determinant() if moduli else 1
+        order = prod(moduli) // lattice.determinant() if moduli else 1
         reduced = []
         for col in cols:
             vec = tuple(v % s for v, s in zip(col, moduli))
@@ -355,8 +378,8 @@ class PrimitiveProvider:
         moduli = hiding.moduli
         l = len(moduli)
         if batch is None:
-            batch = self.config.character_batch or (l + 32)
-        _, lattice = self._hidden_subgroup_exact(hiding)
+            batch = l + 32
+        lattice = self._hidden_subgroup_exact(hiding)
         big = lcm(*moduli) if moduli else 1
         rows = []
         for col in lattice.basis_columns():
@@ -394,10 +417,10 @@ class PrimitiveProvider:
         moduli = hiding.moduli
         l = len(moduli)
         if not self.sampled:
-            _, lattice = self._hidden_subgroup_exact(hiding)
+            lattice = self._hidden_subgroup_exact(hiding)
             return self._coord_subgroup_from_lattice(moduli, lattice)
         extra = max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
-        batch = self.config.character_batch or (l + extra)
+        batch = l + extra
         samples = self.sample_hidden_subgroup_characters(hiding, batch)
         big = lcm(*moduli) if moduli else 1
         rows = [
@@ -496,25 +519,10 @@ class PrimitiveProvider:
 
     # ---- coordinate spans (cheat-layer service for decomposition) ----
 
-    def span_coordinates(self, ring: RingOracle, basis) -> dict:
-        """code -> coordinate tuple over an invariant-factor basis, for every
-        element the basis spans.  Computed once per basis and cached."""
-        key = (ring._key, basis.h, basis.s)
-        cached = self._span_maps.get(key)
-        if cached is not None:
-            return cached
-        chan = ring.unmetered
-        zero = ring._zero_code()
-        coords = {zero: (0,) * len(basis.s)}
-        frontier = [(zero, (0,) * len(basis.s))]
-        while frontier:
-            code, vec = frontier.pop()
-            for j, (h, s) in enumerate(zip(basis.h, basis.s)):
-                nxt = chan.add(code, h)
-                if nxt not in coords:
-                    w = list(vec)
-                    w[j] = (w[j] + 1) % s
-                    coords[nxt] = tuple(w)
-                    frontier.append((nxt, tuple(w)))
-        self._span_maps[key] = coords
-        return coords
+    def span_coordinates(self, ring: RingOracle, basis):
+        """Map code -> coordinate tuple over an invariant-factor basis: the
+        linear map from spec coordinates to basis coordinates, read off the
+        basis' span lattice (computed once per basis).  Raises
+        MembershipError for an element outside the span."""
+        span = self._span(ring, basis.h)
+        return lambda code: span.coordinates(ring, code, basis.s)

@@ -17,7 +17,6 @@ from .abelian import (
     QuotientView,
     _basis_descriptor,
     combine_codes,
-    coset_canonical_form,
     decompose_element,
     decompose_group,
     ideal_lattice,
@@ -37,8 +36,8 @@ from .idealcore import (
     find_basis_representation,
     representation_from_additive,
 )
-from .intlinalg import IntMatrix, euler_phi, factorize, solve_modular
-from .qsim import HidingFunction, PrimitiveProvider
+from .intlinalg import IntMatrix, LatticeBuilder, euler_phi, factorize, solve_modular
+from .qsim import HidingFunction, PrimitiveProvider, _moduli_lattice
 
 __all__ = [
     "HomomorphismOracle",
@@ -168,15 +167,32 @@ def inverse(
     return qv.pow(r, c - 1)
 
 
+def _label_map(coords, lattice: LatticeBuilder, maps):
+    """(post, target) of the hiding label x -> (coords(f(x)) for f in maps),
+    each block reduced modulo ``lattice``; additive when every f is."""
+
+    def post(code):
+        return tuple(c for f in maps for c in coords(f(code)))
+
+    copies, dim = len(maps), lattice.dim
+    target = LatticeBuilder(dim * copies)
+    for b in range(copies):
+        for col in lattice.basis_columns():
+            target.add((0,) * (b * dim) + col + (0,) * ((copies - b - 1) * dim))
+    return post, target
+
+
 def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
     """(code, provenance) generators of the subgroup of (rep,+) hidden by
-    ``label``, composed over the represented basis; the zero entry when the
-    subgroup is trivial."""
+    ``label`` (a (post, target) pair), composed over the represented basis;
+    the zero entry when the subgroup is trivial."""
+    post, target = label
     hiding = HidingFunction(
         ring=ring,
         moduli=rep.orders,
         combo_generators=rep.basis.h,
-        post=label,
+        post=post,
+        target=target,
         name=name,
     )
     hidden = provider.solve_ahsp(hiding)
@@ -216,10 +232,8 @@ def ideal_intersection(
     rep_i = find_basis_representation(ring, i_spec, provider)
     acc_j = accumulate_additive_generators(ring, j_spec, provider)
     lat_j = ideal_lattice(ring, acc_j.codes, ring_rep.basis, provider)
-
-    def label(code):
-        return coset_canonical_form(ring, code, ring_rep.basis, lat_j, provider)
-
+    span = provider.span_coordinates(ring, ring_rep.basis)
+    label = _label_map(span, lat_j, [lambda x: x])
     entries = _hidden_entries(ring, rep_i, label, "intersection", provider)
     return representation_from_additive(ring, entries, provider)
 
@@ -241,15 +255,9 @@ def colon_ideal(
     acc_i = accumulate_additive_generators(ring, i_spec, provider)
     acc_j = accumulate_additive_generators(ring, j_spec, provider)
     lat_i = ideal_lattice(ring, acc_i.codes, ring_rep.basis, provider)
-    chan = ring.unmetered
-    j_adds = acc_j.codes
-
-    def label(code):
-        return tuple(
-            coset_canonical_form(ring, chan.mul(code, b), ring_rep.basis, lat_i, provider)
-            for b in j_adds
-        )
-
+    span = provider.span_coordinates(ring, ring_rep.basis)
+    mul = ring.unmetered.mul
+    label = _label_map(span, lat_i, [lambda x, b=b: mul(x, b) for b in acc_j.codes])
     return _hidden_group(ring, ring_rep, label, "colon", provider)
 
 
@@ -264,14 +272,12 @@ def annihilator(
     if side not in ("left", "right"):
         raise PreconditionError("annihilator side must be 'left' or 'right'")
     ring_rep = ring_rep or ring_representation(ring, provider)
-    s_elems = tuple(s_elems)
-    chan = ring.unmetered
-
-    def label(code):
-        if side == "left":
-            return tuple(chan.mul(code, s) for s in s_elems)
-        return tuple(chan.mul(s, code) for s in s_elems)
-
+    mul = ring.unmetered.mul
+    if side == "left":
+        maps = [lambda x, s=s: mul(x, s) for s in s_elems]
+    else:
+        maps = [lambda x, s=s: mul(s, x) for s in s_elems]
+    label = _label_map(ring._coords, _moduli_lattice(ring), maps)
     return _hidden_group(ring, ring_rep, label, "annihilator", provider)
 
 
@@ -356,9 +362,7 @@ def multiplicative_identity(
             rhs.append(1 if j == k else 0)
             moduli.append(s[k])
     coords = solve_modular(IntMatrix.from_rows(rows), rhs, moduli)
-    if coords is None:
-        raise PreconditionError("no multiplicative identity in the spanned set")
-    if not any(coords):
+    if coords is None or not any(coords):
         raise PreconditionError("no multiplicative identity in the spanned set")
     e = combine_codes(ring.metered, basis.h, coords)
     for g in ring.generators:
@@ -415,7 +419,9 @@ def hom_kernel(
     _spot_check_hom(rho, provider)
     ring = rho.domain
     domain_rep = domain_rep or ring_representation(ring, provider)
-    return _hidden_group(ring, domain_rep, rho.mapping, "hom-kernel", provider)
+    cod = rho.codomain
+    label = _label_map(cod._coords, _moduli_lattice(cod), [rho.mapping])
+    return _hidden_group(ring, domain_rep, label, "hom-kernel", provider)
 
 
 def is_injective(

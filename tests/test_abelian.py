@@ -5,7 +5,6 @@ import pytest
 from ringbox.abelian import (
     QuotientView,
     combine_codes,
-    coset_canonical_form,
     decompose_element,
     decompose_group,
     ideal_lattice,
@@ -165,26 +164,23 @@ def test_decompose_element_sampled_backend():
             assert combine_codes(chan, basis.h, n) == x
 
 
-def test_coset_canonical_form_partition():
+def test_quotient_labels_partition():
     r = make_ring(ModularSpec(12), 6)
     p = provider()
     ring_basis = decompose_group(r, r.generators, p)
     (three,) = codes(r, 3)
-    lat = ideal_lattice(r, (three,), ring_basis, p)
+    qv = QuotientView(r, ring_basis, ideal_lattice(r, (three,), ring_basis, p), p)
     elems = ring_elements(r)
     labels = {}
     for e in elems:
-        lab = coset_canonical_form(r, e, ring_basis, lat, p)
-        labels.setdefault(lab, set()).add(e)
+        labels.setdefault(qv.label_of(e), set()).add(e)
     assert len(labels) == 3  # |Z_12 / (3)| = 3
     sizes = {len(v) for v in labels.values()}
     assert sizes == {4}  # Lagrange: equal coset sizes
-    zero_lab = coset_canonical_form(r, codes(r, 0)[0], ring_basis, lat, p)
-    assert coset_canonical_form(r, three, ring_basis, lat, p) == zero_lab
+    assert qv.label_of(three) == qv.label_of(codes(r, 0)[0]) == qv.zero_label()
     # trivial subgroup: injective labels
-    lat0 = ideal_lattice(r, (), ring_basis, p)
-    labs = {coset_canonical_form(r, e, ring_basis, lat0, p) for e in elems}
-    assert len(labs) == 12
+    qv0 = QuotientView(r, ring_basis, ideal_lattice(r, (), ring_basis, p), p)
+    assert len({qv0.label_of(e) for e in elems}) == 12
 
 
 def test_quotient_view_size_and_labels():

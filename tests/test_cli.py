@@ -91,6 +91,27 @@ def test_parse_errors_exit_2(ring_file, capsys):
             capsys, ["zero", "--ring", path, "--epsilon", eps, "--backend", "sampled"]
         )
         assert code == 2, err
+    # a description that parses but fails validation
+    z1 = ring_file("z1.ring", "ring.kind = modular\nring.n = 1\n")
+    code, _, err = invoke(capsys, ["order", "--ring", z1, "--ideal", "0"])
+    assert code == 2, err
+    for k_min, k_max in (("0", "1"), ("5", "3")):
+        code, out, err = invoke(
+            capsys, ["bench-queries", "--k-min", k_min, "--k-max", k_max]
+        )
+        assert code == 2 and not out, err
+    # a list where one element is expected
+    for argv in (
+        ["member", "--ideal", "4", "--element", "4,8"],
+        ["witness", "--ideal", "4", "--element", "4,8"],
+        ["unit", "--element", "4,8"],
+        ["inverse", "--element", "4,8"],
+        ["neg", "--element", "4,8"],
+        ["solve", "--a", "4,8", "--b", "8"],
+        ["solve", "--a", "4", "--b", "4;;8"],
+    ):
+        code, _, err = invoke(capsys, argv + ["--ring", path])
+        assert code == 2, (argv, err)
 
 
 def test_unknown_command_exit_2(ring_file, capsys):

@@ -1,0 +1,305 @@
+"""The simulation layer's ground truth (lattice algebra over the additive
+coordinates of a ring description) against brute-force enumeration through
+``ringbox.verify``: element codes, subgroup orders, coset overlaps and the
+exact hidden subgroup of every hiding-map kind, on the ten desk rings and on
+random nested descriptions."""
+
+import itertools
+import random
+from fractions import Fraction
+from math import prod
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from ringbox import ringops as ops
+from ringbox import verify
+from ringbox.blackbox import (
+    MatrixSpec,
+    ModularSpec,
+    PolyQuotSpec,
+    ProductSpec,
+    make_ring,
+)
+from ringbox.idealcore import IdealSpec, find_basis_representation
+from ringbox.intlinalg import LatticeBuilder
+from ringbox.qsim import PrimitiveProvider, ProviderConfig, SubgroupDescriptor
+from test_acceptance import DESK_SUITE
+
+
+def seed_index(spec, a):
+    """The element index of the seed's nested per-kind formulas."""
+    if isinstance(spec, ModularSpec):
+        return a
+    if isinstance(spec, ProductSpec):
+        idx = 0
+        for f, x in zip(spec.factors, a):
+            idx = idx * f.order() + seed_index(f, x)
+        return idx
+    if isinstance(spec, MatrixSpec):
+        idx = 0
+        for row in a:
+            for x in row:
+                idx = idx * spec.base.order() + seed_index(spec.base, x)
+        return idx
+    idx = 0
+    for c in reversed(a):
+        idx = idx * spec.p + c
+    return idx
+
+
+def check_coordinates(spec):
+    """coords round trip, index bijection and the seed's index formula."""
+    seen = set()
+    for idx in range(spec.order()):
+        value = spec.element_at(idx)
+        assert spec.index_of(value) == idx == seed_index(spec, value)
+        c = spec.coords(value)
+        assert all(0 <= ci < m for ci, m in zip(c, spec.additive_moduli()))
+        assert spec.from_coords(c) == value
+        seen.add(value)
+    assert len(seen) == spec.order()
+
+
+def test_element_codes_keep_the_seed_index():
+    for _, spec in DESK_SUITE:
+        check_coordinates(spec)
+
+
+def additive_order_by_addition(spec, value):
+    k, acc = 1, value
+    while acc != spec.zero():
+        acc = spec.add(acc, value)
+        k += 1
+    return k
+
+
+def exact(seed=1):
+    return PrimitiveProvider(ProviderConfig(backend="exact", seed=seed))
+
+
+def brute_overlap(ring, a, b):
+    chan = ring.verification
+    sa = verify.additive_span(ring, a.generators)
+    sb = verify.additive_span(ring, b.generators)
+    ca = {chan.add(a.offset, x) for x in sa}
+    cb = {chan.add(b.offset, x) for x in sb}
+    return Fraction(len(ca & cb), max(len(sa), len(sb)))
+
+
+def sorted_elements(ring):
+    return sorted(verify.ring_elements(ring), key=lambda c: c.bits)
+
+
+def check_overlaps(ring, elems, p, rng, pairs):
+    for _ in range(pairs):
+        ga = tuple(rng.choice(elems) for _ in range(rng.randint(1, 2)))
+        gb = tuple(rng.choice(elems) for _ in range(rng.randint(1, 2)))
+        a = SubgroupDescriptor(ring, ga, offset=rng.choice(elems))
+        b = SubgroupDescriptor(ring, gb, offset=rng.choice(elems))
+        assert p._span(ring, ga).order == len(verify.additive_span(ring, ga))
+        assert p._exact_overlap(a, b) == brute_overlap(ring, a, b)
+        # the same subgroup through an offset inside it
+        inner = SubgroupDescriptor(ring, ga, offset=ga[0])
+        assert p._exact_overlap(inner, SubgroupDescriptor(ring, ga)) == 1
+
+
+class RecordingProvider(PrimitiveProvider):
+    """Exact provider that keeps every hiding map it solves."""
+
+    def __init__(self, seed):
+        super().__init__(ProviderConfig(backend="exact", seed=seed))
+        self.solved = []
+
+    def solve_ahsp(self, hiding):
+        sub = super().solve_ahsp(hiding)
+        self.solved.append((hiding, sub))
+        return sub
+
+
+def brute_kernel(ring, zero, hiding, hidden_code):
+    """Coordinate vectors z whose combination sum_j z_j g_j satisfies
+    ``hidden_code``, by enumeration on the verification channel."""
+    chan = ring.verification
+    multiples = []
+    for g, s in zip(hiding.combo_generators, hiding.moduli):
+        row = [zero]
+        for _ in range(s - 1):
+            row.append(chan.add(row[-1], g))
+        multiples.append(row)
+    out = set()
+    for z in itertools.product(*(range(s) for s in hiding.moduli)):
+        code = zero
+        for row, zj in zip(multiples, z):
+            code = chan.add(code, row[zj])
+        if hidden_code(code):
+            out.add(z)
+    return out
+
+
+def check_hidden(ring, zero, hiding, sub, hidden_code):
+    lat = LatticeBuilder(len(hiding.moduli), seed_moduli=hiding.moduli)
+    for col in sub.lattice:
+        lat.add(col)
+    want = brute_kernel(ring, zero, hiding, hidden_code)
+    got = {
+        z
+        for z in itertools.product(*(range(s) for s in hiding.moduli))
+        if lat.contains(z)
+    }
+    assert got == want, hiding.name
+    assert sub.order == len(want)
+
+
+def additive_generators(ring, subgroup):
+    """A few elements of ``subgroup`` that span it additively."""
+    gens, span = [], set()
+    for c in sorted(subgroup, key=lambda c: c.bits):
+        if c not in span:
+            gens.append(c)
+            span = verify.additive_span(ring, gens)
+    return gens
+
+
+# largest hidden-subgroup domain enumerated
+MAX_DOMAIN = 1 << 14
+
+
+def check_hiding_kinds(ring, elems, rng, kinds):
+    """Run the ops that build each hiding-map kind and check the first
+    hidden subgroup of each kind they solved (every one of ``kinds``) against
+    a brute-force kernel; domains above MAX_DOMAIN are skipped."""
+    zero = verify.find_zero(ring, elems)
+    chan = ring.verification
+    p = RecordingProvider(rng.randrange(1 << 30))
+    rep = ops.ring_representation(ring, p)
+    side = "two" if isinstance(ring.spec, MatrixSpec) else "left"
+    i_spec = IdealSpec(side, (rng.choice(elems),))
+    j_spec = IdealSpec(side, (rng.choice(elems), rng.choice(elems)))
+    closure_i = verify.ideal_closure(ring, i_spec.generators, side)
+    closure_j = verify.ideal_closure(ring, j_spec.generators, side)
+    s_elems = (rng.choice(elems),)
+    ann_side = rng.choice(("left", "right"))
+    ops.ideal_intersection(ring, i_spec, j_spec, p, rep)
+    ops.colon_ideal(ring, i_spec, j_spec, p, rep)
+    ops.annihilator(ring, s_elems, ann_side, p, rep)
+    rho = ops.HomomorphismOracle(ring, ring, lambda c: c, name="identity")
+    ops.hom_kernel(rho, p, rep)
+
+    def annihilates(x):
+        if ann_side == "left":
+            return all(chan.mul(x, s) == zero for s in s_elems)
+        return all(chan.mul(s, x) == zero for s in s_elems)
+
+    j_gens = additive_generators(ring, closure_j)
+    hidden = {
+        "relation-lattice": lambda x: x == zero,
+        "element-decomposition": lambda x: x == zero,
+        "intersection": lambda x: x in closure_j,
+        "colon": lambda x: all(chan.mul(x, b) in closure_i for b in j_gens),
+        "annihilator": annihilates,
+        "hom-kernel": lambda x: rho(x) == rho(zero),
+    }
+    seen = set()
+    for hiding, sub in p.solved:
+        if hiding.name in seen and hiding.name not in kinds:
+            continue
+        if prod(hiding.moduli) <= MAX_DOMAIN:
+            check_hidden(ring, zero, hiding, sub, hidden[hiding.name])
+            seen.add(hiding.name)
+    assert seen == set(hidden)
+
+
+def test_desk_rings_lattice_algebra_matches_enumeration():
+    rng = random.Random(20261018)
+    for _, spec in DESK_SUITE:
+        ring = make_ring(spec, rng.randrange(1 << 30))
+        elems = sorted_elements(ring)
+        check_overlaps(ring, elems, exact(), rng, pairs=12)
+        check_hiding_kinds(
+            ring, elems, rng, kinds=("intersection", "colon", "annihilator")
+        )
+
+
+def test_desk_mod_hom_kernel_matches_enumeration():
+    rng = random.Random(7)
+    for n, d in ((12, 4), (36, 6), (64, 8)):
+        src = make_ring(ModularSpec(n), rng.randrange(1 << 30))
+        dst = make_ring(ModularSpec(d), rng.randrange(1 << 30))
+        rho = ops.HomomorphismOracle(
+            src, dst, lambda c: dst._encode(src._decode(c) % d), name="mod"
+        )
+        p = RecordingProvider(n)
+        ops.hom_kernel(rho, p)
+        zero = verify.find_zero(src, verify.ring_elements(src))
+        ((hiding, sub),) = [hs for hs in p.solved if hs[0].name == "hom-kernel"]
+        check_hidden(src, zero, hiding, sub, lambda x: rho(x) == rho(zero))
+
+
+# -- random nested descriptions ------------------------------------------------
+
+MAX_ORDER = 1 << 9
+
+MONIC = {
+    2: [(1, 1), (0, 1), (1, 1, 1), (0, 0, 1), (1, 0, 1), (1, 1, 0, 1), (0, 0, 0, 1)],
+    3: [(1, 1), (0, 0, 1), (1, 0, 1), (2, 1, 1)],
+}
+
+
+def small_specs():
+    leaves = st.one_of(
+        st.integers(2, 12).map(ModularSpec),
+        st.sampled_from(sorted(MONIC)).flatmap(
+            lambda p: st.sampled_from(MONIC[p]).map(lambda f: PolyQuotSpec(p, f))
+        ),
+    )
+
+    def extend(inner):
+        return st.one_of(
+            st.lists(inner, min_size=2, max_size=3).map(
+                lambda fs: ProductSpec(tuple(fs))
+            ),
+            st.tuples(st.integers(1, 3), inner).map(lambda kb: MatrixSpec(*kb)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=3).filter(
+        lambda s: s.order() <= MAX_ORDER
+    )
+
+
+MATRIX_OVER_PRODUCT = MatrixSpec(2, ProductSpec((ModularSpec(2), ModularSpec(2))))
+MATRIX_OVER_POLYQUOT = MatrixSpec(2, PolyQuotSpec(2, (1, 1, 1)))
+MATRIX_3 = MatrixSpec(3, ModularSpec(2))
+PRODUCT_OF_POLYQUOTS = ProductSpec((PolyQuotSpec(2, (1, 1, 1)), PolyQuotSpec(3, (0, 0, 1))))
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(MATRIX_OVER_PRODUCT, 1)
+@example(MATRIX_OVER_POLYQUOT, 2)
+@example(MATRIX_3, 3)
+@example(PRODUCT_OF_POLYQUOTS, 4)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_nested_specs_against_enumeration(spec, seed):
+    rng = random.Random(seed)
+    check_coordinates(spec)
+    for _ in range(4):
+        value = spec.element_at(rng.randrange(spec.order()))
+        assert spec.additive_order(value) == additive_order_by_addition(spec, value)
+    ring = make_ring(spec, seed)
+    elems = sorted_elements(ring)
+    check_overlaps(ring, elems, exact(seed), rng, pairs=3)
+    check_hiding_kinds(ring, elems, rng, kinds=())
+    # a random ideal's basis against the brute-force closure
+    side = rng.choice(("left", "right", "two"))
+    gens = tuple(rng.choice(elems) for _ in range(rng.randint(1, 2)))
+    rep = find_basis_representation(ring, IdealSpec(side, gens), exact(seed))
+    closure = verify.ideal_closure(ring, gens, side)
+    zero = verify.find_zero(ring, elems)
+    assert rep.order() == len(closure)
+    assert verify.additive_span(ring, rep.basis.h + (zero,)) == closure

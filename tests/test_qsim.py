@@ -5,6 +5,7 @@ import pytest
 
 from ringbox.blackbox import MatrixSpec, ModularSpec, PolyQuotSpec, make_ring, parse_element_literal
 from ringbox.errors import HidingContractError, PreconditionError
+from ringbox.intlinalg import LatticeBuilder
 from ringbox.qsim import (
     HidingFunction,
     PrimitiveProvider,
@@ -134,9 +135,12 @@ def test_solve_ahsp_examples():
 def test_solve_ahsp_constant_function():
     r = make_ring(ModularSpec(6), 2)
     (one,) = codes(r, 1)
-    zero_label = object()
     hiding = HidingFunction(
-        ring=r, moduli=(6,), combo_generators=(one,), post=lambda c: zero_label
+        ring=r,
+        moduli=(6,),
+        combo_generators=(one,),
+        post=lambda c: (0,),
+        target=LatticeBuilder(1, seed_moduli=(6,)),
     )
     p = provider()
     sub = p.solve_ahsp(hiding)
@@ -146,12 +150,15 @@ def test_solve_ahsp_constant_function():
 def test_hiding_contract_violation_detected():
     r = ring_z12()
     (one,) = codes(r, 1)
-    # labels collapse non-coset-consistently: distinguish only codes of 0..5
-    chan = r.verification
+    # labels collapse non-coset-consistently: v -> v // 5 is not additive
     lits = {codes(r, v)[0]: v for v in range(12)}
-    bad_post = lambda c: lits[c] // 5  # not constant on cosets of any subgroup
+    bad_post = lambda c: (lits[c] // 5,)  # not constant on cosets of any subgroup
     hiding = HidingFunction(
-        ring=r, moduli=(12,), combo_generators=(one,), post=bad_post
+        ring=r,
+        moduli=(12,),
+        combo_generators=(one,),
+        post=bad_post,
+        target=LatticeBuilder(1, seed_moduli=(12,)),
     )
     p = provider()
     with pytest.raises(HidingContractError):
