@@ -175,8 +175,11 @@ def _load_ring(text, path, missing: str, seed: int):
     if text is None:
         if not path:
             raise ParseError(missing)
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text") from exc
     return make_ring(parse_ring_file(text), seed)
 
 

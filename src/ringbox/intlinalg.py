@@ -1,8 +1,15 @@
-"""Exact integer linear algebra: Smith/Hermite forms and linear solvers.
+"""Exact integer linear algebra: Hermite and Smith forms and linear solvers.
 
-Everything here is arbitrary-precision and deterministic.  Pivots are chosen
-smallest-in-absolute-value (ties broken by lowest row, then column) to damp
-coefficient growth; no asymptotic optimality is attempted.
+The incremental Hermite form (``LatticeBuilder``) computes the kernel and
+image lattices the package uses: ``stacked_lattice`` stacks the images over a
+target lattice, and ``lattice_kernel_mod`` reads a modular kernel off it.
+The Smith form serves only the jobs that need it: invariant factors
+(``subgroup_of_torus`` and the group decomposition) and the particular
+solutions of ``solve_modular``.
+
+Everything here is arbitrary-precision and deterministic.  Smith pivots are
+chosen smallest-in-absolute-value (ties broken by lowest row, then column) to
+damp coefficient growth; no asymptotic optimality is attempted.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ __all__ = [
     "solve_diophantine",
     "solve_modular",
     "LatticeBuilder",
+    "stacked_lattice",
     "lattice_kernel_mod",
     "subgroup_of_torus",
     "egcd",
@@ -141,14 +149,13 @@ class IntMatrix:
 class SNFResult:
     """U*A*V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...
 
-    u_inv and v_inv are the exact inverses, tracked during reduction.
+    u_inv is the exact inverse of U, tracked during reduction.
     """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
     u_inv: IntMatrix
-    v_inv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D.at(i, i) for i in range(min(self.D.rows, self.D.cols)))
@@ -164,7 +171,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     U = IntMatrix.identity(m).to_rows()
     Ui = IntMatrix.identity(m).to_rows()
     V = IntMatrix.identity(n).to_rows()
-    Vi = IntMatrix.identity(n).to_rows()
 
     def row_add(i, j, k):  # row_i += k*row_j
         Mi, Mj = M[i], M[j]
@@ -193,23 +199,18 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             M[r][j] += k * M[r][i]
         for r in range(n):
             V[r][j] += k * V[r][i]
-        Vij, Vii = Vi[j], Vi[i]  # inverse: row_i -= k*row_j
-        for c in range(n):
-            Vii[c] -= k * Vij[c]
 
     def col_swap(i, j):
         for r in range(m):
             M[r][i], M[r][j] = M[r][j], M[r][i]
         for r in range(n):
             V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def col_neg(j):
         for r in range(m):
             M[r][j] = -M[r][j]
         for r in range(n):
             V[r][j] = -V[r][j]
-        Vi[j] = [-v for v in Vi[j]]
 
     def smallest_nonzero(t):
         best = None
@@ -271,7 +272,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         D=IntMatrix.from_rows(M) if m and n else IntMatrix.zeros(m, n),
         V=IntMatrix.from_rows(V) if n else IntMatrix.zeros(0, 0),
         u_inv=IntMatrix.from_rows(Ui) if m else IntMatrix.zeros(0, 0),
-        v_inv=IntMatrix.from_rows(Vi) if n else IntMatrix.zeros(0, 0),
     )
 
 
@@ -444,30 +444,31 @@ class LatticeBuilder:
         return out
 
 
+def stacked_lattice(images, target: LatticeBuilder) -> LatticeBuilder:
+    """Hermite form over Z^(p+k) of the columns (t; 0) for the target's
+    basis columns t and (images[j]; e_j).  Its columns with a zero head span
+    the kernel {z : sum_j z_j images[j] in target}; the heads of the others
+    span the image lattice plus the target."""
+    k = len(images)
+    lat = LatticeBuilder(target.dim + k)
+    for col in target.basis_columns():
+        lat.add(col + (0,) * k)
+    for j, v in enumerate(images):
+        lat.add(tuple(v) + tuple(1 if i == j else 0 for i in range(k)))
+    return lat
+
+
 def lattice_kernel_mod(w: IntMatrix, moduli) -> tuple[tuple[int, ...], ...]:
-    """Basis of {z in Z^n : W*z == 0 (mod moduli[i]) rowwise}, canonical HNF."""
+    """Basis of {z in Z^n : W*z == 0 (mod moduli[i]) rowwise}, canonical HNF:
+    the zero-head columns of W's columns stacked over the moduli."""
     moduli = tuple(moduli)
     if len(moduli) != w.rows:
         raise DimensionError("moduli length != row count")
-    m, n = w.rows, w.cols
-    if n == 0:
-        return ()
-    aug_rows = []
-    for i in range(m):
-        row = list(w.row(i)) + [0] * m
-        row[n + i] = moduli[i]
-        aug_rows.append(row)
-    builder = LatticeBuilder(n)
-    if m == 0:
-        for j in range(n):
-            e = [0] * n
-            e[j] = 1
-            builder.add(e)
-        return builder.basis_columns()
-    snf = smith_normal_form(IntMatrix.from_rows(aug_rows))
-    for j in range(snf.rank(), n + m):
-        builder.add(snf.V.col(j)[:n])
-    return builder.basis_columns()
+    m = w.rows
+    stacked = stacked_lattice(
+        [w.col(j) for j in range(w.cols)], LatticeBuilder(m, seed_moduli=moduli)
+    )
+    return tuple(col[m:] for col in stacked.basis_columns() if not any(col[:m]))
 
 
 def subgroup_of_torus(gens, moduli) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

