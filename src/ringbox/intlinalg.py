@@ -224,11 +224,12 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
     t = 0
     while t < min(m, n):
-        if smallest_nonzero(t) is None:
+        best = smallest_nonzero(t)
+        if best is None:
             break
         while True:
             # always pivot on the smallest entry of the working submatrix
-            _, bi, bj = smallest_nonzero(t)
+            _, bi, bj = best
             if bi != t:
                 row_swap(t, bi)
             if bj != t:
@@ -251,20 +252,20 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
                         col_add(j, t, -q)
                     if M[t][j]:
                         clean = False
-            if not clean:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                Mi = M[i]
-                for j in range(t + 1, n):
-                    if Mi[j] % p:
-                        offender = i
+            if clean:
+                offender = None
+                for i in range(t + 1, m):
+                    Mi = M[i]
+                    for j in range(t + 1, n):
+                        if Mi[j] % p:
+                            offender = i
+                            break
+                    if offender is not None:
                         break
-                if offender is not None:
+                if offender is None:
                     break
-            if offender is None:
-                break
-            row_add(t, offender, 1)
+                row_add(t, offender, 1)
+            best = smallest_nonzero(t)
         t += 1
 
     return SNFResult(

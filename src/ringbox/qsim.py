@@ -11,8 +11,10 @@ offsets lies in L_A + L_B.  Hidden subgroups are kernels of additive maps,
 read off one Hermite form.  The *sampled* backend consults the same ground
 truth internally but exposes only measurement-shaped data: swap-test shots
 with the correct Bernoulli law, characters drawn uniformly from the
-annihilator dual, and period-finding outcomes concentrated near multiples of
-q/c followed by continued-fraction reconstruction.  Consumers are written
+annihilator dual (their joint kernel is taken after reducing them to at most
+l Hermite rows, l the hiding map's dimension), and period-finding outcomes
+concentrated near multiples of q/c followed by continued-fraction
+reconstruction.  Consumers are written
 against the sample interface and never receive the hidden structure
 directly.
 
@@ -152,6 +154,19 @@ class HidingFunction:
 def _moduli_lattice(ring: RingOracle) -> LatticeBuilder:
     moduli = ring.spec._moduli
     return LatticeBuilder(len(moduli), seed_moduli=moduli)
+
+
+def _annihilator(vectors, moduli) -> tuple[tuple[int, ...], ...]:
+    """HNF columns of {z in Z^l : sum_j y_j z_j / m_j in Z for every y}.
+
+    The vectors, scaled by big / m_j (big = lcm(moduli)), are first reduced
+    to the at most l Hermite rows of their row lattice modulo big: same kernel."""
+    big = lcm(*moduli)
+    rows = LatticeBuilder(len(moduli), seed_moduli=[big] * len(moduli))
+    for y in vectors:
+        rows.add([v * (big // m) for v, m in zip(y, moduli)])
+    basis = rows.basis_columns()
+    return lattice_kernel_mod(IntMatrix.from_rows(basis), [big] * len(basis))
 
 
 class _Span:
@@ -367,12 +382,7 @@ class PrimitiveProvider:
         if batch is None:
             batch = l + 32
         lattice = self._hidden_subgroup_exact(hiding)
-        big = lcm(*moduli)
-        rows = [
-            [(col[j] % moduli[j]) * (big // moduli[j]) for j in range(l)]
-            for col in lattice.basis_columns()
-        ]
-        dual_basis = lattice_kernel_mod(IntMatrix.from_rows(rows), [big] * len(rows))
+        dual_basis = _annihilator(lattice.basis_columns(), moduli)
         dual_vecs = [tuple(v % s for v, s in zip(col, moduli)) for col in dual_basis]
         dual_gens, dual_orders = subgroup_of_torus(
             [v for v in dual_vecs if any(v)], moduli
@@ -403,10 +413,8 @@ class PrimitiveProvider:
         extra = max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
         batch = l + extra
         samples = self.sample_hidden_subgroup_characters(hiding, batch)
-        big = lcm(*moduli)
-        rows = [[y[j] * (big // moduli[j]) for j in range(l)] for y in samples]
         lattice = LatticeBuilder(l, seed_moduli=moduli)
-        for col in lattice_kernel_mod(IntMatrix.from_rows(rows), [big] * len(rows)):
+        for col in _annihilator(samples, moduli):
             lattice.add(col)
         return self._coord_subgroup_from_lattice(moduli, lattice)
 

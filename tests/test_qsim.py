@@ -2,16 +2,27 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ringbox.blackbox import MatrixSpec, ModularSpec, PolyQuotSpec, make_ring, parse_element_literal
+from ringbox.abelian import _decompose_via_hidden_cycle, decompose_group
+from ringbox.blackbox import (
+    MatrixSpec,
+    ModularSpec,
+    PolyQuotSpec,
+    ProductSpec,
+    make_ring,
+    parse_element_literal,
+)
 from ringbox.errors import HidingContractError, PreconditionError
-from ringbox.intlinalg import LatticeBuilder
+from ringbox.intlinalg import IntMatrix, LatticeBuilder, lattice_kernel_mod
 from ringbox.qsim import (
     HidingFunction,
     PrimitiveProvider,
     ProviderConfig,
     SubgroupDescriptor,
+    _annihilator,
 )
+from test_acceptance import DESK_SUITE
 
 
 def ring_z12(seed=7):
@@ -103,8 +114,6 @@ def test_characters_annihilate_hidden_subgroup():
 
 
 def test_characters_z2xz2_diagonal():
-    from ringbox.blackbox import ProductSpec
-
     r = make_ring(ProductSpec((ModularSpec(2), ModularSpec(2))), 1)
     chan = r.unmetered
     a = parse_element_literal(r, "(1, 1)")
@@ -130,6 +139,77 @@ def test_solve_ahsp_examples():
         hiding = hiding_for_kernel(r, (one,), (12,))
         sub = p.solve_ahsp(hiding)
         assert sub.order == 1
+
+
+def unreduced_annihilator(vectors, moduli):
+    """The kernel of every scaled vector as its own row, with no reduction."""
+    big = math.lcm(*moduli)
+    rows = [[v * (big // m) for v, m in zip(y, moduli)] for y in vectors]
+    return lattice_kernel_mod(IntMatrix.from_rows(rows), [big] * len(rows))
+
+
+@given(st.integers(1, 4), st.integers(1, 8), st.data())
+@settings(max_examples=80, deadline=None)
+def test_annihilator_matches_unreduced_rows(l, extra, data):
+    moduli = data.draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), min_size=l, max_size=l))
+    # a factor per coordinate sharing a divisor with its modulus keeps the
+    # vectors inside a proper subgroup, so they need not generate the dual
+    factors = data.draw(st.lists(st.sampled_from((1, 1, 2, 3)), min_size=l, max_size=l))
+    vectors = [
+        tuple(data.draw(st.integers(-m, 2 * m)) * f for m, f in zip(moduli, factors))
+        for _ in range(l + extra)
+    ]
+    assert _annihilator(vectors, moduli) == unreduced_annihilator(vectors, moduli)
+
+
+def test_annihilator_of_a_proper_subgroup():
+    # the vectors span only <(2, 0)> in Z_8 x Z_4, whose annihilator is
+    # 4Z x Z
+    vectors = [(2, 0), (4, 0), (6, 0)]
+    assert _annihilator(vectors, (8, 4)) == ((4, 0), (0, 1))
+    assert unreduced_annihilator(vectors, (8, 4)) == ((4, 0), (0, 1))
+
+
+@pytest.mark.parametrize("epsilon,extra", [(1e-6, 32), (1e-9, 38)])
+def test_sampled_solve_draws_only_its_characters(epsilon, extra):
+    r = make_ring(ProductSpec((ModularSpec(4), ModularSpec(6))), 2)
+    gens = (parse_element_literal(r, "(2, 3)"), parse_element_literal(r, "(1, 2)"))
+    hiding = hiding_for_kernel(r, gens, (2, 12))
+    p = provider("sampled", seed=9, epsilon=epsilon)
+    twin = provider("sampled", seed=9, epsilon=epsilon)
+    p.solve_ahsp(hiding)
+    twin.sample_hidden_subgroup_characters(hiding, len(hiding.moduli) + extra)
+    assert p.rng.getstate() == twin.rng.getstate()
+
+
+class RecordingProvider(PrimitiveProvider):
+    """Keeps every hiding map its solver is given."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.hidings = []
+
+    def solve_ahsp(self, hiding):
+        self.hidings.append(hiding)
+        return super().solve_ahsp(hiding)
+
+
+def test_sampled_solve_matches_exact_on_desk_rings():
+    for _, spec in DESK_SUITE:
+        ring = make_ring(spec, 3)
+        rec = RecordingProvider(ProviderConfig(seed=5, epsilon=1e-9))
+        basis = decompose_group(ring, ring.generators, rec)  # relation lattice
+        span = SubgroupDescriptor(ring, basis.h, basis=basis)
+        for _ in range(4):
+            x, _ = rec.sample_uniform(span)
+            _decompose_via_hidden_cycle(
+                ring, x, basis, rec.find_additive_order(ring, x), rec
+            )
+        assert {h.name for h in rec.hidings} == {"relation-lattice", "element-decomposition"}
+        exact = provider(seed=6, epsilon=1e-9)
+        sampled = provider("sampled", seed=6, epsilon=1e-9)
+        for hiding in rec.hidings:
+            assert sampled.solve_ahsp(hiding) == exact.solve_ahsp(hiding)
 
 
 def test_solve_ahsp_constant_function():
