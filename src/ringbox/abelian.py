@@ -10,11 +10,11 @@ coordinate labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2
+from math import ceil, log2, prod
 
 from .blackbox import ElementCode, RingOracle
 from .errors import LowConfidenceError, MembershipError, PreconditionError
-from .intlinalg import IntMatrix, LatticeBuilder, egcd, smith_normal_form
+from .intlinalg import LatticeBuilder, egcd, invariant_factors
 from .qsim import (
     HidingFunction,
     PrimitiveProvider,
@@ -33,13 +33,6 @@ __all__ = [
     "QuotientView",
     "combine_codes",
 ]
-
-
-def _product(vals) -> int:
-    out = 1
-    for v in vals:
-        out *= v
-    return out
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,7 @@ class InvariantFactorBasis:
     from_original: tuple[tuple[int, ...], ...]
 
     def order(self) -> int:
-        return _product(self.s)
+        return prod(self.s)
 
 
 def present_group(
@@ -109,35 +102,14 @@ def decompose_group(
     """
     pres = present_group(ring, gens, provider)
     k = len(pres.generators)
-    rel_cols = pres.relation_lattice
-    rel = (
-        IntMatrix.from_rows([[col[i] for col in rel_cols] for i in range(k)])
-        if rel_cols
-        else IntMatrix.zeros(k, 0)
+    orders, to_orig, from_orig = invariant_factors(pres.relation_lattice, k)
+    if 0 in orders:
+        raise PreconditionError("generators do not span a finite group")
+    to_orig = tuple(
+        tuple(c % o for c, o in zip(coeffs, pres.orders)) for coeffs in to_orig
     )
-    snf = smith_normal_form(rel)
-    chan = ring.metered
-    h_list: list[ElementCode] = []
-    s_list: list[int] = []
-    to_orig = []
-    kept = []
-    for i in range(k):
-        d = snf.D.at(i, i) if i < min(snf.D.rows, snf.D.cols) else 0
-        if d == 1:
-            continue
-        if d == 0:
-            raise PreconditionError("generators do not span a finite group")
-        coeffs = tuple(snf.u_inv.at(j, i) % pres.orders[j] for j in range(k))
-        code = combine_codes(chan, pres.generators, coeffs)
-        h_list.append(code)
-        s_list.append(d)
-        to_orig.append(coeffs)
-        kept.append(i)
-    from_orig = tuple(
-        tuple(snf.U.at(i, j) % s_list[t] for t, i in enumerate(kept))
-        for j in range(k)
-    )
-    return InvariantFactorBasis(tuple(h_list), tuple(s_list), tuple(to_orig), from_orig)
+    h = tuple(combine_codes(ring.metered, pres.generators, c) for c in to_orig)
+    return InvariantFactorBasis(h, orders, to_orig, from_orig)
 
 
 def _basis_descriptor(ring: RingOracle, basis: InvariantFactorBasis) -> SubgroupDescriptor:
@@ -236,8 +208,8 @@ class QuotientView:
 
     Labels are coordinate reductions over the ambient basis; products are
     computed on representatives through the ring oracle and re-reduced.
-    ``mul``/``pow`` run metered (classical algorithm work); ``mul_cheat``
-    serves the simulation layer.
+    ``pow`` runs metered (classical algorithm work); ``mul_cheat`` serves the
+    simulation layer.
     """
 
     def __init__(
@@ -259,9 +231,6 @@ class QuotientView:
 
     def zero_label(self) -> tuple[int, ...]:
         return self.lattice.reduce((0,) * len(self.basis.s))
-
-    def mul(self, a: ElementCode, b: ElementCode) -> ElementCode:
-        return self.ring.mul(a, b)
 
     def mul_cheat(self, a: ElementCode, b: ElementCode) -> ElementCode:
         return self.ring.unmetered.mul(a, b)

@@ -759,12 +759,22 @@ def _parse_int(tok: str, what: str) -> int:
         raise ParseError(f"{what}: expected an integer, got {tok!r}") from None
 
 
+# ring.kind -> (compact form of parse_spec_string, keys filling its fields)
+_RING_FILE_KINDS = {
+    "modular": ("modular {}", ("ring.n",)),
+    "product": ("product({})", ("ring.factors",)),
+    "matrix": ("matrix {} over {}", ("ring.k", "ring.base")),
+    "polyquot": ("polyquot {} [{}]", ("ring.p", "ring.f")),
+}
+
+
 def parse_ring_file(text: str) -> RingSpec:
     """Parse the key=value ring description format.
 
     Keys: ring.kind, then ring.n | ring.factors | ring.k + ring.base |
-    ring.p + ring.f.  Factor lists and base values use the compact form of
-    :func:`parse_spec_string`; ring.f is a coefficient list low-to-high.
+    ring.p + ring.f.  The values fill the kind's compact form of
+    :func:`parse_spec_string`: factor lists and base values are compact
+    descriptions, ring.f is a coefficient list low-to-high.
     """
     fields = {}
     for raw in text.splitlines():
@@ -779,36 +789,13 @@ def parse_ring_file(text: str) -> RingSpec:
     if kind is None:
         raise ParseError("missing ring.kind")
     kind = kind.lower()
-    if kind == "modular":
-        if "ring.n" not in fields:
-            raise ParseError("modular: missing ring.n")
-        spec = ModularSpec(_parse_int(fields["ring.n"], "ring.n"))
-    elif kind == "product":
-        if "ring.factors" not in fields:
-            raise ParseError("product: missing ring.factors")
-        parts = _split_top_level(fields["ring.factors"], ",")
-        spec = ProductSpec(tuple(parse_spec_string(p) for p in parts))
-    elif kind == "matrix":
-        if "ring.k" not in fields or "ring.base" not in fields:
-            raise ParseError("matrix: missing ring.k or ring.base")
-        spec = MatrixSpec(
-            _parse_int(fields["ring.k"], "ring.k"),
-            parse_spec_string(fields["ring.base"]),
-        )
-    elif kind == "polyquot":
-        if "ring.p" not in fields or "ring.f" not in fields:
-            raise ParseError("polyquot: missing ring.p or ring.f")
-        p = _parse_int(fields["ring.p"], "ring.p")
-        coeffs = tuple(
-            _parse_int(c.strip(), "ring.f coefficient") % p
-            for c in fields["ring.f"].split(",")
-            if c.strip()
-        )
-        spec = PolyQuotSpec(p, coeffs)
-    else:
+    if kind not in _RING_FILE_KINDS:
         raise ParseError(f"unknown ring.kind {kind!r}")
-    spec.validate()
-    return spec
+    form, keys = _RING_FILE_KINDS[kind]
+    for key in keys:
+        if key not in fields:
+            raise ParseError(f"{kind}: missing {key}")
+    return parse_spec_string(form.format(*(fields[key] for key in keys)))
 
 
 def parse_element_literal(ring: RingOracle, text: str) -> ElementCode:

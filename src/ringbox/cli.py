@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="ideal arithmetic in finite black-box rings",
     )
     p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--ring", help="ring description file")
+    p.add_argument("--ring", dest="ring_path", help="ring description file")
     p.add_argument("--ideal", help="comma-separated generator literals")
     p.add_argument("--ideal2", help="second ideal's generator literals")
     p.add_argument("--side", choices=("left", "right", "two"))
@@ -120,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", help="element literal list (annihilate)")
     p.add_argument("--a", help="left-hand element literal for solve")
     p.add_argument("--b", help="right-hand element literal for solve")
-    p.add_argument("--ring2", help="codomain ring description file (hom commands)")
+    p.add_argument(
+        "--ring2", dest="ring2_path", help="codomain ring description file (hom commands)"
+    )
     p.add_argument("--hom", help="homomorphism kind: identity | mod")
     p.add_argument("--backend", choices=("exact", "sampled"), default="exact")
     p.add_argument("--seed", type=int, default=None)
@@ -142,33 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("RINGBOX_SEED", "0"))
-    return RunConfig(
-        command=args.command,
-        ring_path=args.ring,
-        ideal=args.ideal,
-        ideal2=args.ideal2,
-        side=args.side,
-        element=args.element,
-        elements=args.elements,
-        a=args.a,
-        b=args.b,
-        ring2_path=args.ring2,
-        hom=args.hom,
-        backend=args.backend,
-        seed=seed,
-        epsilon=args.epsilon,
-        verify=args.verify,
-        count_queries=args.count_queries,
-        json_out=args.json_out,
-        debug_codes=args.debug_codes,
-        prime_period_finding=args.prime_period_finding,
-        family=args.family,
-        k_min=args.k_min,
-        k_max=args.k_max,
-    )
+    if args.seed is None:
+        args.seed = int(os.environ.get("RINGBOX_SEED", "0"))
+    return RunConfig(**vars(args))
 
 
 def _load_ring(text, path, missing: str, seed: int):

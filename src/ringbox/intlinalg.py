@@ -3,9 +3,10 @@
 The incremental Hermite form (``LatticeBuilder``) computes the kernel and
 image lattices the package uses: ``stacked_lattice`` stacks the images over a
 target lattice, and ``lattice_kernel_mod`` reads a modular kernel off it.
-The Smith form serves only the jobs that need it: invariant factors
-(``subgroup_of_torus`` and the group decomposition) and the particular
-solutions of ``solve_modular``.
+The Smith form serves only the jobs that need it: ``invariant_factors``
+(behind ``subgroup_of_torus`` and the group decomposition, and the only
+reader of its U and ``u_inv``) and ``solve_diophantine`` (the particular
+solutions of ``solve_modular``).
 
 Everything here is arbitrary-precision and deterministic.  Smith pivots are
 chosen smallest-in-absolute-value (ties broken by lowest row, then column) to
@@ -29,6 +30,7 @@ __all__ = [
     "LatticeBuilder",
     "stacked_lattice",
     "lattice_kernel_mod",
+    "invariant_factors",
     "subgroup_of_torus",
     "egcd",
     "factorize",
@@ -472,36 +474,58 @@ def lattice_kernel_mod(w: IntMatrix, moduli) -> tuple[tuple[int, ...], ...]:
     return tuple(col[m:] for col in stacked.basis_columns() if not any(col[:m]))
 
 
+def invariant_factors(relations, k: int):
+    """Invariant-factor form of Z^k modulo the lattice spanned by the columns
+    ``relations``.
+
+    Returns (orders, to_original, from_original): ascending orders
+    o_1 | o_2 | ... with unit factors dropped (0 for an infinite factor);
+    to_original[i] is the i-th new generator over the standard basis;
+    from_original[j] expresses e_j over the new generators, entry t reduced
+    modulo o_t.  One Smith form U*A*V = D of the relation matrix A gives all
+    three: the new generators are columns of U^-1, e_j's coordinates are
+    column j of U.
+    """
+    rel = (
+        IntMatrix.from_rows([[col[i] for col in relations] for i in range(k)])
+        if relations
+        else IntMatrix.zeros(k, 0)
+    )
+    snf = smith_normal_form(rel)
+    d = snf.diagonal() + (0,) * k  # rows past the relation count: infinite
+    kept = [i for i in range(k) if d[i] != 1]
+    orders = tuple(d[i] for i in kept)
+    to_original = tuple(snf.u_inv.col(i) for i in kept)
+    from_original = tuple(
+        tuple(snf.U.at(i, j) % o if o else snf.U.at(i, j) for i, o in zip(kept, orders))
+        for j in range(k)
+    )
+    return orders, to_original, from_original
+
+
 def subgroup_of_torus(gens, moduli) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Independent generators and ascending orders of the subgroup of
-    Z_{m_1} x ... x Z_{m_k} generated by ``gens`` (coordinate vectors).
+    Z_{m_1} x ... x Z_{m_k} generated by ``gens`` (integer vectors, reduced
+    modulo the moduli here; zero vectors are dropped).
 
     Returns (new_gens, orders) with orders o_1 | o_2 | ... and the subgroup
     equal to the direct sum of the cyclic groups generated by new_gens.
     """
     moduli = tuple(moduli)
-    gens = [tuple(g) for g in gens]
     k = len(moduli)
     if any(len(g) != k for g in gens):
         raise DimensionError("generator length != moduli length")
+    gens = [tuple(t % m if m else t for t, m in zip(g, moduli)) for g in gens]
+    gens = [g for g in gens if any(g)]
     if not gens:
         return (), ()
-    t = len(gens)
     w = IntMatrix.from_rows([[g[r] for g in gens] for r in range(k)])
-    relations = lattice_kernel_mod(w, moduli)
-    rel_matrix = IntMatrix.from_rows([[col[i] for col in relations] for i in range(t)])
-    snf = smith_normal_form(rel_matrix)
-    new_gens = []
-    orders = []
-    for i in range(t):
-        d = snf.D.at(i, i) if i < min(snf.D.rows, snf.D.cols) else 0
-        if d == 1:
-            continue
-        coeffs = [snf.u_inv.at(j, i) for j in range(t)]
-        vec = tuple(
-            sum(coeffs[j] * gens[j][r] for j in range(t)) % moduli[r] if moduli[r] else 0
+    orders, to_original, _ = invariant_factors(lattice_kernel_mod(w, moduli), len(gens))
+    new_gens = tuple(
+        tuple(
+            sum(c * g[r] for c, g in zip(coeffs, gens)) % moduli[r] if moduli[r] else 0
             for r in range(k)
         )
-        new_gens.append(vec)
-        orders.append(d)
-    return tuple(new_gens), tuple(orders)
+        for coeffs in to_original
+    )
+    return new_gens, orders

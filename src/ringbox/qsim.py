@@ -101,11 +101,12 @@ class SubgroupDescriptor:
 @dataclass(frozen=True)
 class CoordSubgroup:
     """A subgroup of Z_{s_1} x ... x Z_{s_l}, as produced by the hidden
-    subgroup solver: independent generators plus the full relation lattice."""
+    subgroup solver: the HNF columns of its lift to Z^l (which contains every
+    s_j e_j).  ``intlinalg.subgroup_of_torus`` turns the columns into
+    independent generators for the one caller that needs them."""
 
     moduli: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    lattice: tuple[tuple[int, ...], ...]  # HNF columns spanning the lift in Z^l
+    lattice: tuple[tuple[int, ...], ...]
     order: int
 
     def contains(self, vec) -> bool:
@@ -360,32 +361,16 @@ class PrimitiveProvider:
         self._spot_check(hiding, lattice)
         return lattice
 
-    def _coord_subgroup_from_lattice(self, moduli, lattice: LatticeBuilder) -> CoordSubgroup:
-        cols = lattice.basis_columns()
-        order = prod(moduli) // lattice.determinant()
-        reduced = []
-        for col in cols:
-            vec = tuple(v % s for v, s in zip(col, moduli))
-            if any(vec):
-                reduced.append(vec)
-        gens, orders = subgroup_of_torus(reduced, moduli)
-        # independent generators are the canonical output; keep full lattice too
-        return CoordSubgroup(tuple(moduli), gens, cols, order)
-
     def sample_hidden_subgroup_characters(
-        self, hiding: HidingFunction, batch: int | None = None
+        self, hiding: HidingFunction, batch: int
     ) -> list[CharacterSample]:
         """Independent uniform samples from the character group annihilating
         the hidden subgroup."""
         moduli = hiding.moduli
         l = len(moduli)
-        if batch is None:
-            batch = l + 32
         lattice = self._hidden_subgroup_exact(hiding)
-        dual_basis = _annihilator(lattice.basis_columns(), moduli)
-        dual_vecs = [tuple(v % s for v, s in zip(col, moduli)) for col in dual_basis]
         dual_gens, dual_orders = subgroup_of_torus(
-            [v for v in dual_vecs if any(v)], moduli
+            _annihilator(lattice.basis_columns(), moduli), moduli
         )
         out = []
         for _ in range(batch):
@@ -406,17 +391,16 @@ class PrimitiveProvider:
         failure probability negligible against the configured epsilon.
         """
         moduli = hiding.moduli
-        l = len(moduli)
         if not self.sampled:
             lattice = self._hidden_subgroup_exact(hiding)
-            return self._coord_subgroup_from_lattice(moduli, lattice)
-        extra = max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
-        batch = l + extra
-        samples = self.sample_hidden_subgroup_characters(hiding, batch)
-        lattice = LatticeBuilder(l, seed_moduli=moduli)
-        for col in _annihilator(samples, moduli):
-            lattice.add(col)
-        return self._coord_subgroup_from_lattice(moduli, lattice)
+        else:
+            extra = max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
+            samples = self.sample_hidden_subgroup_characters(hiding, len(moduli) + extra)
+            lattice = LatticeBuilder(len(moduli), seed_moduli=moduli)
+            for col in _annihilator(samples, moduli):
+                lattice.add(col)
+        order = prod(moduli) // lattice.determinant()
+        return CoordSubgroup(moduli, lattice.basis_columns(), order)
 
     # ---- order finding ----
 
@@ -451,8 +435,8 @@ class PrimitiveProvider:
         """Period of the power sequence of r's image in the quotient, or None
         when the sequence has a preperiod (image not invertible).
 
-        ``quotient`` must expose label_of(code), mul_cheat(code, code),
-        mul(code, code) [metered], and size.
+        ``quotient`` must expose label_of(code), zero_label(),
+        mul_cheat(code, code), pow(code, k) [metered], and size.
         """
         self.stats["orders"] += 1
         if quotient.label_of(r) == quotient.zero_label():

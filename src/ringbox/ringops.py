@@ -28,7 +28,6 @@ from .errors import (
     PreconditionError,
 )
 from .idealcore import (
-    AccumulationResult,
     BasisRepresentation,
     IdealSpec,
     ScaledSum,
@@ -36,7 +35,14 @@ from .idealcore import (
     find_basis_representation,
     representation_from_additive,
 )
-from .intlinalg import IntMatrix, LatticeBuilder, euler_phi, factorize, solve_modular
+from .intlinalg import (
+    IntMatrix,
+    LatticeBuilder,
+    euler_phi,
+    factorize,
+    solve_modular,
+    subgroup_of_torus,
+)
 from .qsim import HidingFunction, PrimitiveProvider, _moduli_lattice
 
 __all__ = [
@@ -100,30 +106,21 @@ def ring_representation(ring: RingOracle, provider: PrimitiveProvider) -> BasisR
 
 
 def ideal_equal(
-    ring: RingOracle,
-    i_spec: IdealSpec,
-    j_spec: IdealSpec,
-    provider: PrimitiveProvider,
-    i_acc: AccumulationResult | None = None,
-    j_acc: AccumulationResult | None = None,
+    ring: RingOracle, i_spec: IdealSpec, j_spec: IdealSpec, provider: PrimitiveProvider
 ) -> bool:
     """Swap-test equality of two ideals' uniform states."""
-    i_acc = i_acc or accumulate_additive_generators(ring, i_spec, provider)
-    j_acc = j_acc or accumulate_additive_generators(ring, j_spec, provider)
+    i_acc = accumulate_additive_generators(ring, i_spec, provider)
+    j_acc = accumulate_additive_generators(ring, j_spec, provider)
     return provider.is_subset_decision(
         _basis_descriptor(ring, i_acc.basis), _basis_descriptor(ring, j_acc.basis)
     )
 
 
 def ideal_contains(
-    ring: RingOracle,
-    i_spec: IdealSpec,
-    x: ElementCode,
-    provider: PrimitiveProvider,
-    i_acc: AccumulationResult | None = None,
+    ring: RingOracle, i_spec: IdealSpec, x: ElementCode, provider: PrimitiveProvider
 ) -> bool:
     """Swap test of the ideal state against its coset through x."""
-    i_acc = i_acc or accumulate_additive_generators(ring, i_spec, provider)
+    i_acc = accumulate_additive_generators(ring, i_spec, provider)
     return provider.membership(x, _basis_descriptor(ring, i_acc.basis))
 
 
@@ -195,14 +192,13 @@ def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
         target=target,
         name=name,
     )
-    hidden = provider.solve_ahsp(hiding)
+    gens, _ = subgroup_of_torus(provider.solve_ahsp(hiding).lattice, rep.orders)
     entries = [
         (
             combine_codes(ring.metered, rep.basis.h, vec),
             ScaledSum.over(vec, rep.provenance),
         )
-        for vec in hidden.generators
-        if any(vec)
+        for vec in gens
     ]
     if not entries:
         entries = [(additive_identity(ring, provider), ScaledSum((), ()))]
@@ -281,15 +277,9 @@ def annihilator(
     return _hidden_group(ring, ring_rep, label, "annihilator", provider)
 
 
-def ideal_order(
-    ring: RingOracle,
-    i_spec: IdealSpec,
-    provider: PrimitiveProvider,
-    i_acc: AccumulationResult | None = None,
-) -> int:
+def ideal_order(ring: RingOracle, i_spec: IdealSpec, provider: PrimitiveProvider) -> int:
     """Product of the invariant-factor orders of (I,+)."""
-    i_acc = i_acc or accumulate_additive_generators(ring, i_spec, provider)
-    return i_acc.basis.order()
+    return accumulate_additive_generators(ring, i_spec, provider).basis.order()
 
 
 def ring_order(
@@ -457,7 +447,6 @@ def is_prime_ideal(
     i_spec: IdealSpec,
     provider: PrimitiveProvider,
     ring_rep: BasisRepresentation | None = None,
-    epsilon: float | None = None,
     use_period_finding: bool = False,
 ) -> PrimalityVerdict:
     """Primality of a two-sided ideal through the field test on S = R/I.
@@ -471,7 +460,7 @@ def is_prime_ideal(
     """
     if i_spec.side != "two":
         raise PreconditionError("primality is defined for two-sided ideals")
-    eps = epsilon if epsilon is not None else provider.config.epsilon
+    eps = provider.config.epsilon
     ring_rep = ring_rep or ring_representation(ring, provider)
     acc_i = accumulate_additive_generators(ring, i_spec, provider)
     size_r = ring_rep.order()

@@ -24,14 +24,14 @@ __all__ = [
 ]
 
 
-def ring_elements(ring: RingOracle, cap: int = DESK_CAP) -> frozenset:
+def ring_elements(ring: RingOracle) -> frozenset:
     """All element codes: the two-sided ideal the ring generators generate.
 
-    Refuses rings above ``cap``.
+    Refuses rings above the desk cap.
     """
-    if ring._ring_size() > cap:
+    if ring._ring_size() > DESK_CAP:
         raise DeskCapError(
-            f"ring order {ring._ring_size()} exceeds desk-scale cap {cap}"
+            f"ring order {ring._ring_size()} exceeds desk-scale cap {DESK_CAP}"
         )
     return ideal_closure(ring, ring.generators, "two")
 

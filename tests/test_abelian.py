@@ -18,8 +18,10 @@ from ringbox.blackbox import (
     parse_element_literal,
 )
 from ringbox.errors import MembershipError
+from ringbox.intlinalg import subgroup_of_torus
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
 from ringbox.verify import additive_span, ring_elements
+from test_acceptance import DESK_SUITE
 
 
 def provider(backend="exact", seed=1, **kw):
@@ -202,3 +204,17 @@ def test_subgroup_order_examples():
     assert decompose_group(r, codes(r, 4), p).order() == 3
     assert decompose_group(r, codes(r, 1), p).order() == 12
     assert decompose_group(r, codes(r, 0), p).order() == 1
+
+
+def test_decompose_group_orders_match_pure_lattice_route():
+    # hidden-subgroup presentation + Smith form against the Smith form of the
+    # generators' additive coordinates over the spec's moduli
+    rng = random.Random(0x1F)
+    for _, spec in DESK_SUITE:
+        r = make_ring(spec, 4)
+        p = provider()
+        elems = sorted(ring_elements(r), key=lambda c: c.bits)
+        for _ in range(3):
+            gens = tuple(rng.choice(elems) for _ in range(rng.randint(1, 3)))
+            _, orders = subgroup_of_torus([r._coords(g) for g in gens], spec._moduli)
+            assert decompose_group(r, gens, p).s == orders

@@ -1,6 +1,6 @@
 import random
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +11,7 @@ from ringbox.intlinalg import (
     egcd,
     euler_phi,
     factorize,
+    invariant_factors,
     lattice_kernel_mod,
     smith_normal_form,
     solve_diophantine,
@@ -308,6 +309,33 @@ def test_subgroup_of_torus_enumeration_matches():
     for o in orders:
         total *= o
     assert total == len(brute)
+
+
+@given(st.integers(1, 4), st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_invariant_factors_of_seeded_lattice(k, extra, data):
+    moduli = data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    relations = [tuple(m if i == j else 0 for i in range(k)) for j, m in enumerate(moduli)]
+    for _ in range(extra):
+        relations.append(
+            tuple(data.draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k)))
+        )
+    lat = LatticeBuilder(k)
+    for col in relations:
+        lat.add(col)
+    orders, to_original, from_original = invariant_factors(relations, k)
+    assert 1 not in orders
+    assert all(o > 0 for o in orders)
+    assert all(b % a == 0 for a, b in zip(orders, orders[1:]))
+    assert prod(orders) == lat.determinant()
+    assert len(to_original) == len(orders)
+    for o, g in zip(orders, to_original):
+        assert lat.contains(tuple(o * v for v in g))
+    for j in range(k):
+        rest = [1 if i == j else 0 for i in range(k)]
+        for c, g in zip(from_original[j], to_original):
+            rest = [r - c * v for r, v in zip(rest, g)]
+        assert lat.contains(rest)
 
 
 def test_egcd_and_phi():
