@@ -742,6 +742,10 @@ def _parse_spec_tokens(tokens: list[str]) -> tuple[RingSpec, list[str]]:
         if len(rest) < 2 or not rest[1].startswith("["):
             raise ParseError("polyquot: expected 'polyquot P [c0, c1, ...]'")
         p = _parse_int(rest[0], "polyquot p")
+        # checked before the coefficients are reduced mod p; validate() tests
+        # primality once the whole description has parsed
+        if p < 2:
+            raise RingConstructionError(f"polyquot: p must be prime, got p={p}")
         body = rest[1][1:-1].strip()
         coeffs = tuple(
             _parse_int(c.strip(), "polyquot coefficient") % p

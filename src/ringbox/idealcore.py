@@ -9,6 +9,10 @@ multiplication, hence equals the ideal.  Each adjoined element at least
 doubles the generated group, so the number of augmentations is at most
 log2 of the ideal order.
 
+A provider accumulates each ideal once: the result is kept in its session
+memo ``accumulations``, keyed by ring, ideal spec and ring generators, and
+shared by every later caller (hence immutable).
+
 Every accumulated element carries a provenance expression over the original
 ideal generators (integer scaling, sums, and one-sided products with ring
 generators); re-evaluating the expression through the oracles reproduces the
@@ -144,7 +148,7 @@ class SideProduct(Provenance):
         return f"{r}*{self.inner}" if self.side == "left" else f"{self.inner}*{r}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AccumulationResult:
     """Additive generators of (I,+) with provenance and loop telemetry."""
 
@@ -201,8 +205,16 @@ def accumulate_additive_generators(
     ceil(log2(1/epsilon)) + 4 draws; exhausting the cap leaves that entry for
     the next scan (statistically it certifies r*B inside B, the closure
     condition).  Termination: a complete scan with no augmentation.
+
+    The result is memoized in ``provider.accumulations`` under (ring key,
+    ideal, ring generators): a repeat call returns the stored result and
+    makes no oracle query, decision or random draw.
     """
     plan, ring_gens = _scan_plan(ring, ideal.side, ring_generators)
+    key = (ring._key, ideal, ring_gens)
+    done = provider.accumulations.get(key)
+    if done is not None:
+        return done
     entries: list[tuple[ElementCode, Provenance]] = [
         (code, GenRef(i)) for i, code in enumerate(ideal.generators)
     ]
@@ -236,13 +248,14 @@ def accumulate_additive_generators(
                 break
         if not augmented:
             break
-    return AccumulationResult(
+    done = provider.accumulations[key] = AccumulationResult(
         entries=tuple(entries),
         basis=basis,
         rounds=rounds,
         sizes=tuple(sizes),
         decisions=provider.stats["decisions"] - decisions_before,
     )
+    return done
 
 
 def _compose_provenance(side, ring_gen_index, coeffs, basis, entries):

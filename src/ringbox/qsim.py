@@ -239,8 +239,11 @@ class PrimitiveProvider:
         self.config = config
         self.rng = Random(fork_seed(config.seed, "provider"))
         self.stats = {"decisions": 0, "characters": 0, "orders": 0, "samples": 0}
+        # session memos, keyed per ring: spans of generator tuples,
+        # element decompositions, and ideal accumulations (idealcore)
         self._spans: dict = {}
         self.decomp_memo: dict = {}
+        self.accumulations: dict = {}
 
     def fork(self, label: str) -> "PrimitiveProvider":
         cfg = ProviderConfig(

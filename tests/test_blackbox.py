@@ -3,7 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringbox.blackbox import (
     ElementCode,
@@ -224,6 +224,34 @@ def test_modular_oracle_matches_construction(n, data):
     cb = parse_element_literal(r, str(b))
     assert r.add(ca, cb) == parse_element_literal(r, str((a + b) % n))
     assert r.mul(ca, cb) == parse_element_literal(r, str((a * b) % n))
+
+
+# compact descriptions nested one level deep, every integer in [-3, 13];
+# one-level nesting and at most three coefficients keep the rings small
+_INT = st.integers(-3, 13).map(str)
+_LEAF = st.one_of(
+    st.builds("modular {}".format, _INT),
+    st.builds(
+        "polyquot {} [{}]".format, _INT, st.lists(_INT, max_size=3).map(", ".join)
+    ),
+)
+_DESCRIPTION = st.one_of(
+    _LEAF,
+    st.lists(_LEAF, max_size=3).map(lambda fs: f"product({', '.join(fs)})"),
+    st.builds("matrix {} over {}".format, _INT, _LEAF),
+)
+
+
+@given(_DESCRIPTION, st.integers(0, 60))
+@example("matrix 2 over polyquot 0 [1, 1]", 60)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzz_spec_strings_fail_only_as_documented(text, cut):
+    # a prefix of a description is malformed input too
+    for candidate in (text, text[:cut]):
+        try:
+            make_ring(parse_spec_string(candidate), 1)
+        except (ParseError, RingConstructionError):
+            pass
 
 
 def test_code_bits_opacity_outside_blackbox():

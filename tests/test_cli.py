@@ -100,6 +100,14 @@ def test_parse_errors_exit_2(ring_file, capsys):
     z1 = ring_file("z1.ring", "ring.kind = modular\nring.n = 1\n")
     code, _, err = invoke(capsys, ["order", "--ring", z1, "--ideal", "0"])
     assert code == 2, err
+    # polyquot p = 0: top level, as a matrix base and as a product factor
+    for name, text in (
+        ("p0.ring", "ring.kind = polyquot\nring.p = 0\nring.f = 1, 1\n"),
+        ("m_p0.ring", "ring.kind = matrix\nring.k = 2\nring.base = polyquot 0 [1, 1]\n"),
+        ("x_p0.ring", "ring.kind = product\nring.factors = modular 2, polyquot 0 [1, 1]\n"),
+    ):
+        code, _, err = invoke(capsys, ["ring-order", "--ring", ring_file(name, text)])
+        assert code == 2, (name, err)
     for k_min, k_max in (("0", "1"), ("5", "3")):
         code, out, err = invoke(
             capsys, ["bench-queries", "--k-min", k_min, "--k-max", k_max]

@@ -3,6 +3,7 @@ from math import log2
 
 import pytest
 
+from ringbox import ringops as ops
 from ringbox import verify
 from ringbox.blackbox import (
     MatrixSpec,
@@ -21,6 +22,8 @@ from ringbox.idealcore import (
 )
 from ringbox.abelian import decompose_group
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
+
+from test_acceptance import DESK_SUITE
 
 
 def provider(backend="exact", seed=1, **kw):
@@ -270,3 +273,87 @@ def test_sampled_backend_accumulation_matches():
         assert verify.additive_span(r, res.codes) == verify.ideal_closure(
             r, gens, "left"
         )
+
+
+BACKENDS = ("exact", "sampled")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_accumulation_memo_hit_makes_no_query_decision_or_draw(backend):
+    r = make_ring(MatrixSpec(2, ModularSpec(2)), 3)
+    p = provider(backend)
+    ideal = IdealSpec("left", (parse_element_literal(r, "1,0;0,0"),))
+    first = accumulate_additive_generators(r, ideal, p)
+    before = (r.ledger.snapshot(), p.stats["decisions"], p.rng.getstate())
+    assert accumulate_additive_generators(r, ideal, p) is first
+    # the key holds the ring generators the scan resolves, not the argument
+    assert accumulate_additive_generators(r, ideal, p, r.generators) is first
+    assert (r.ledger.snapshot(), p.stats["decisions"], p.rng.getstate()) == before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_accumulation_memo_misses(backend):
+    spec = MatrixSpec(2, ModularSpec(2))
+    r = make_ring(spec, 3)
+    p = provider(backend)
+    e11, e12 = (parse_element_literal(r, lit) for lit in ("1,0;0,0", "0,1;0,0"))
+    ideal = IdealSpec("left", (e11,))
+    first = accumulate_additive_generators(r, ideal, p)
+    # another key for the same ring description under which the codes of e11
+    # and of r's generators are still elements: passed r's generators, the
+    # call differs from the first one in the ring key alone
+    shared = {e11, *r.generators}
+    other = next(
+        ring
+        for ring in (make_ring(spec, seed) for seed in range(4, 1000))
+        if shared <= verify.ring_elements(ring)
+    )
+    for ring, spec_, prov, ring_gens in (
+        (r, IdealSpec("right", (e11,)), p, None),
+        (r, IdealSpec("left", (e11, e12)), p, None),
+        (r, ideal, p, r.generators[:1]),
+        (other, ideal, p, r.generators),
+        (r, ideal, p.fork("memo"), None),
+        (r, ideal, provider(backend), None),
+    ):
+        held = len(prov.accumulations)
+        res = accumulate_additive_generators(ring, spec_, prov, ring_gens)
+        assert res is not first
+        assert len(prov.accumulations) == held + 1
+
+
+def _answers(r, i_spec, j_spec, x, p, zero):
+    inter = ops.ideal_intersection(r, i_spec, j_spec, p)
+    colon_codes, _ = ops.colon_ideal(r, i_spec, j_spec, p)
+    return (
+        ops.ideal_contains(r, i_spec, x, p),
+        ops.ideal_equal(r, i_spec, j_spec, p),
+        verify.additive_span(r, inter.basis.h) if inter.basis.h else frozenset({zero}),
+        verify.additive_span(r, colon_codes),
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_provider_answers_like_a_cold_one(backend):
+    rng = random.Random(19)
+    for _, spec in DESK_SUITE:
+        r = make_ring(spec, 7)
+        elems = sorted(verify.ring_elements(r), key=lambda c: c.bits)
+        zero = verify.find_zero(r, elems)
+        sides = ("left", "right", "two") if isinstance(spec, MatrixSpec) else ("left",)
+        warm = provider(backend, seed=5)
+        for trial in range(3):
+            side = sides[trial % len(sides)]
+            i_spec, j_spec = (IdealSpec(side, (rng.choice(elems),)) for _ in range(2))
+            x = rng.choice(elems)
+            i_set = verify.ideal_closure(r, i_spec.generators, side)
+            j_set = verify.ideal_closure(r, j_spec.generators, side)
+            want = (
+                x in i_set,
+                i_set == j_set,
+                i_set & j_set,
+                verify.colon_set(r, i_set, j_set, elems),
+            )
+            cold = _answers(r, i_spec, j_spec, x, provider(backend, seed=5), zero)
+            _answers(r, i_spec, j_spec, x, warm, zero)
+            assert _answers(r, i_spec, j_spec, x, warm, zero) == cold == want
