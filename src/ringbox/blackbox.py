@@ -24,8 +24,10 @@ from math import gcd, lcm, prod
 from .errors import (
     InvalidCodeError,
     ParseError,
+    PreconditionError,
     RingConstructionError,
 )
+from .intlinalg import is_prime
 
 __all__ = [
     "DESK_CAP",
@@ -57,17 +59,6 @@ class ElementCode:
 
     def __repr__(self):
         return f"<code {self.bits:0{(self.width + 3) // 4}x}>"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
 
 
 class RingSpec:
@@ -353,7 +344,11 @@ class PolyQuotSpec(RingSpec):
     f: tuple
 
     def validate(self):
-        if not _is_prime(self.p):
+        try:
+            prime = is_prime(self.p)
+        except PreconditionError as exc:
+            raise RingConstructionError(f"polyquot: {exc}") from None
+        if not prime:
             raise RingConstructionError(f"polyquot: p must be prime, got p={self.p}")
         if len(self.f) < 2:
             raise RingConstructionError("polyquot: f must have degree >= 1")

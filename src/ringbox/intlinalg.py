@@ -8,6 +8,10 @@ The Smith form serves only the jobs that need it: ``invariant_factors``
 reader of its U and ``u_inv``) and ``solve_diophantine`` (the particular
 solutions of ``solve_modular``).
 
+``is_prime`` (deterministic Miller-Rabin) serves the ring validation and the
+field test behind ``prime``; ``factorize`` and ``euler_phi`` (trial division)
+serve only the desk-capped period-finding prime test.
+
 Everything here is arbitrary-precision and deterministic.  Smith pivots are
 chosen smallest-in-absolute-value (ties broken by lowest row, then column) to
 damp coefficient growth; no asymptotic optimality is attempted.
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from .errors import DimensionError
+from .errors import DimensionError, PreconditionError
 
 __all__ = [
     "IntMatrix",
@@ -33,6 +37,8 @@ __all__ = [
     "invariant_factors",
     "subgroup_of_torus",
     "egcd",
+    "MILLER_RABIN_BOUND",
+    "is_prime",
     "factorize",
     "euler_phi",
 ]
@@ -53,8 +59,43 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (Sorenson and Webster 2017)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases up to 41, exact for
+    n < MILLER_RABIN_BOUND (about 3.3e24); larger n raise PreconditionError
+    rather than get a guessed answer."""
+    if n < 2:
+        return False
+    for p in MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MILLER_RABIN_BOUND:
+        raise PreconditionError(
+            f"primality of {n} is not decided above {MILLER_RABIN_BOUND}"
+        )
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk scale)."""
+    """Prime factorization by trial division, O(sqrt(n)); only the
+    desk-capped period-finding prime test (through ``euler_phi``) uses it."""
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}

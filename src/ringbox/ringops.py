@@ -5,7 +5,9 @@ annihilators, orders, identities, linear equations, homomorphism tests, and
 the primality test for two-sided ideals.  Everything consumes the primitive
 layer through swap-test decisions, hidden-subgroup solving, and order
 finding; quotient-ring arithmetic runs on canonical coset labels with
-products taken on representatives through the multiplication oracle.
+products taken on representatives through the multiplication oracle.  The
+default primality test is classical: a field test over F_p on the ideal's
+coordinate lattice and the multiplication tensor.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .intlinalg import (
     IntMatrix,
     LatticeBuilder,
     euler_phi,
-    factorize,
+    invariant_factors,
+    is_prime,
     solve_modular,
     subgroup_of_torus,
 )
@@ -442,6 +445,75 @@ def is_surjective(
     return image_rep.order() == codomain_rep.order()
 
 
+def _quotient_is_field(ring_rep: BasisRepresentation, lat: LatticeBuilder) -> bool:
+    """Whether S = Z^l / ``lat``, multiplied through ``ring_rep.tensor``, is a
+    field, by exact linear algebra over F_p (Berlekamp's subalgebra; Ronyai,
+    "Computing the structure of finite algebras", J. Symb. Comput. 1990).
+
+    S is a field iff its invariant factors all equal one prime p, it is
+    commutative, the Frobenius map x -> x^p is injective (S has no
+    nilpotents), and {x : x^p = x} has dimension 1 (the number of field
+    factors of a reduced commutative F_p-algebra).  A noncommutative S is not
+    a finite domain (Wedderburn).  F_p ranks are read off the Hermite form:
+    pZ^k plus the columns of a k x k matrix of rank r has index p^(k-r).
+    """
+    l = len(ring_rep.orders)
+    orders, to_original, from_original = invariant_factors(lat.basis_columns(), l)
+    p, k = orders[0], len(orders)
+    if any(o != p for o in orders) or not is_prime(p):
+        return False
+    tensor = ring_rep.tensor
+
+    def project(w):  # coordinates over h -> coordinates over S's basis u
+        return tuple(
+            sum(w[m] * from_original[m][c] for m in range(l)) % p for c in range(k)
+        )
+
+    # left[a][t] = u_a h_t over h; table[a][b] = u_a u_b over u
+    left = [
+        [
+            [sum(u[t] * tensor[t][t2][m] for t in range(l)) for m in range(l)]
+            for t2 in range(l)
+        ]
+        for u in to_original
+    ]
+    table = [
+        [
+            project([sum(v[t] * left[a][t][m] for t in range(l)) for m in range(l)])
+            for v in to_original
+        ]
+        for a in range(k)
+    ]
+    if any(table[a][b] != table[b][a] for a in range(k) for b in range(a)):
+        return False
+
+    def mul(x, y):
+        out = [0] * k
+        for a, xa in enumerate(x):
+            for b, yb in enumerate(y):
+                if xa and yb:
+                    for c, v in enumerate(table[a][b]):
+                        out[c] += xa * yb * v
+        return tuple(v % p for v in out)
+
+    def frobenius(x):
+        out = x
+        for bit in bin(p)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, x)
+        return out
+
+    unit = [tuple(int(a == c) for c in range(k)) for a in range(k)]
+    frob = [frobenius(e) for e in unit]
+    image = LatticeBuilder(k, seed_moduli=(p,) * k)
+    fixed = LatticeBuilder(k, seed_moduli=(p,) * k)
+    for a in range(k):
+        image.add(frob[a])
+        fixed.add(tuple(f - e for f, e in zip(frob[a], unit[a])))
+    return image.determinant() == 1 and fixed.determinant() == p
+
+
 def is_prime_ideal(
     ring: RingOracle,
     i_spec: IdealSpec,
@@ -449,45 +521,38 @@ def is_prime_ideal(
     ring_rep: BasisRepresentation | None = None,
     use_period_finding: bool = False,
 ) -> PrimalityVerdict:
-    """Primality of a two-sided ideal through the field test on S = R/I.
+    """Primality of a two-sided ideal I: whether S = R/I is a domain, which
+    for a finite ring means a field.
 
-    Draw uniform elements r (discarding those in I); if the image of some r
-    has multiplicative order exactly |S|-1 then every nonzero element of S
-    is invertible, S is a field, and I is certifiably prime.  After
+    The default path decides it exactly from I's coordinate lattice and the
+    multiplication tensor (``_quotient_is_field``): after the accumulation
+    and the lattice it makes no oracle query, no decision and no random
+    draw, and its verdict has trials 0 and confidence 1.  With
+    ``use_period_finding`` the paper's witness loop runs instead: draw
+    uniform elements r (discarding those in I); if simulated period finding
+    gives some r the multiplicative order |S|-1 then every nonzero element of
+    S is invertible, S is a field, and I is certifiably prime.  After
     ceil(c0 * ln|S| * ln(1/eps)) witnessless trials the verdict is not-prime
-    with the reported confidence.  The default witness check is the exact
-    divisor test on |S|-1; period finding backs it behind a flag.
+    with the reported confidence.  Order finding walks S, so that path is
+    capped at the desk cap.
     """
     if i_spec.side != "two":
         raise PreconditionError("primality is defined for two-sided ideals")
-    eps = provider.config.epsilon
     ring_rep = ring_rep or ring_representation(ring, provider)
     acc_i = accumulate_additive_generators(ring, i_spec, provider)
     size_r = ring_rep.order()
     size_i = acc_i.basis.order()
     if size_i == size_r:
         raise PreconditionError("the ideal is the whole ring")
-    d = size_r // size_i
     lat = ideal_lattice(ring, acc_i.codes, ring_rep.basis, provider)
+    if not use_period_finding:
+        return PrimalityVerdict(_quotient_is_field(ring_rep, lat), 0, 1.0)
+    eps = provider.config.epsilon
+    d = size_r // size_i
     qv = QuotientView(ring, ring_rep.basis, lat, provider)
-    one_lab = qv.label_of(multiplicative_identity(ring, provider, ring_rep))
     i_desc = _basis_descriptor(ring, acc_i.basis)
     r_desc = _basis_descriptor(ring, ring_rep.basis)
     trials = max(1, ceil(PRIME_TRIAL_CONSTANT * log(max(d, 2)) * log(1.0 / eps)))
-    prime_factors = sorted(factorize(d - 1)) if d > 2 else []
-
-    def is_generator_witness(r):
-        if use_period_finding:
-            order = provider.find_multiplicative_order_in_quotient(qv, r)
-            return order == d - 1
-        if d - 1 == 1:
-            return qv.label_of(r) == one_lab
-        if qv.label_of(qv.pow(r, d - 1)) != one_lab:
-            return False
-        return all(
-            qv.label_of(qv.pow(r, (d - 1) // p)) != one_lab for p in prime_factors
-        )
-
     effective = 0
     for t in range(trials):
         r = None
@@ -499,7 +564,7 @@ def is_prime_ideal(
         if r is None:
             continue
         effective += 1
-        if is_generator_witness(r):
+        if provider.find_multiplicative_order_in_quotient(qv, r) == d - 1:
             return PrimalityVerdict(True, t + 1, 1.0)
     if d == 2:
         p_hit = 1.0  # the only nonzero residue is the identity

@@ -108,6 +108,12 @@ def test_parse_errors_exit_2(ring_file, capsys):
     ):
         code, _, err = invoke(capsys, ["ring-order", "--ring", ring_file(name, text)])
         assert code == 2, (name, err)
+    # p above the exact bound of the deterministic Miller-Rabin test
+    big_p = ring_file(
+        "big_p.ring", f"ring.kind = polyquot\nring.p = {2**89 - 1}\nring.f = 1, 1\n"
+    )
+    code, _, err = invoke(capsys, ["ring-order", "--ring", big_p])
+    assert code == 2 and "not decided" in err, err
     for k_min, k_max in (("0", "1"), ("5", "3")):
         code, out, err = invoke(
             capsys, ["bench-queries", "--k-min", k_min, "--k-max", k_max]
@@ -151,6 +157,28 @@ def test_precondition_exit_3(ring_file, capsys):
     code, _, err = invoke(capsys, ["inverse", "--ring", big, "--element", "3"])
     assert code == 3, err
     assert time.perf_counter() - t0 < 2.0
+    t0 = time.perf_counter()
+    code, _, err = invoke(
+        capsys, ["prime", "--ring", big, "--ideal", "0", "--prime-period-finding"]
+    )
+    assert code == 3, err
+    assert time.perf_counter() - t0 < 2.0
+    # the field test cannot decide primality of the characteristic 2^89 - 1
+    huge = ring_file("huge.ring", f"ring.kind = modular\nring.n = {2**89 - 1}\n")
+    code, _, err = invoke(capsys, ["prime", "--ring", huge, "--ideal", "0"])
+    assert code == 3 and "not decided" in err, err
+
+
+def test_ring_order_of_a_polyquot_over_a_61_bit_prime(ring_file, capsys):
+    p = 2**61 - 1
+    path = ring_file(
+        "p61.ring", f"ring.kind = polyquot\nring.p = {p}\nring.f = 1, 0, 1\n"
+    )
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, ["ring-order", "--ring", path, "--json"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["order"] == p**2
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_witness(ring_file, capsys):

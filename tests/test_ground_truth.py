@@ -1,14 +1,16 @@
 """The simulation layer's ground truth (lattice algebra over the additive
 coordinates of a ring description) against brute-force enumeration through
 ``ringbox.verify``: element codes, subgroup orders, coset overlaps and the
-exact hidden subgroup of every hiding-map kind, on the ten desk rings and on
-random nested descriptions."""
+exact hidden subgroup of every hiding-map kind, and the field test behind
+``prime``, on the ten desk rings, on explicit rings and on random nested
+descriptions."""
 
 import itertools
 import random
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +22,9 @@ from ringbox.blackbox import (
     PolyQuotSpec,
     ProductSpec,
     make_ring,
+    parse_element_literal,
 )
+from ringbox.errors import PreconditionError
 from ringbox.idealcore import IdealSpec, find_basis_representation
 from ringbox.intlinalg import LatticeBuilder
 from ringbox.qsim import PrimitiveProvider, ProviderConfig, SubgroupDescriptor
@@ -303,3 +307,92 @@ def test_nested_specs_against_enumeration(spec, seed):
     zero = verify.find_zero(ring, elems)
     assert rep.order() == len(closure)
     assert verify.additive_span(ring, rep.basis.h + (zero,)) == closure
+
+
+# -- the field test behind `prime` --------------------------------------------
+
+
+def check_prime_verdicts(spec, seed):
+    """The default ``is_prime_ideal`` against the elementwise definition
+    (a*b in I forces a or b in I) for every distinct principal two-sided
+    ideal, on both backends; returns whether each proper one is prime."""
+    ring = make_ring(spec, seed)
+    elems = sorted_elements(ring)
+    ideals = {}
+    for g in elems:
+        ideals.setdefault(verify.ideal_closure(ring, (g,), "two"), g)
+    whole = [g for closure, g in ideals.items() if len(closure) == len(elems)]
+    want = {
+        g: verify.is_prime_by_definition(ring, closure, elems)
+        for closure, g in ideals.items()
+        if len(closure) < len(elems)
+    }
+    for backend in ("exact", "sampled"):
+        p = PrimitiveProvider(ProviderConfig(backend=backend, seed=seed))
+        rep = ops.ring_representation(ring, p)
+        for g in whole:
+            with pytest.raises(PreconditionError):
+                ops.is_prime_ideal(ring, IdealSpec("two", (g,)), p, rep)
+        for g, prime in want.items():
+            verdict = ops.is_prime_ideal(ring, IdealSpec("two", (g,)), p, rep)
+            assert verdict.prime == prime, (spec.describe(), backend, ring._decode(g))
+            assert (verdict.trials, verdict.confidence) == (0, 1.0)
+    return list(want.values())
+
+
+FIELD_TEST_RINGS = [
+    PolyQuotSpec(3, (1, 0, 1)),  # F_9
+    PolyQuotSpec(2, (1, 1, 0, 0, 1)),  # F_16
+    PolyQuotSpec(5, (2, 0, 1)),  # F_25
+    PolyQuotSpec(2, (1, 0, 0, 0, 1)),  # F_2[x]/(x^4+1), local
+    PolyQuotSpec(2, (0, 1, 0, 1)),  # F_2[x]/(x^3+x) = F_2[x]/(x) x F_2[x]/(x+1)^2
+    ProductSpec((PolyQuotSpec(2, (1, 1, 1)),) * 2),  # F_4 x F_4
+    ProductSpec((ModularSpec(3), ModularSpec(3))),
+    ProductSpec((ModularSpec(2), PolyQuotSpec(2, (1, 1, 0, 1)))),  # Z_2 x F_8
+    ProductSpec((ModularSpec(4), ModularSpec(2))),
+    ModularSpec(30),
+    ModularSpec(49),
+    PolyQuotSpec(3, (0, 0, 1)),  # Z_3[x]/(x^2)
+    MatrixSpec(2, ModularSpec(2)),
+    MatrixSpec(2, ModularSpec(3)),
+]
+
+
+def test_field_test_on_explicit_rings():
+    verdicts = []
+    for i, spec in enumerate(FIELD_TEST_RINGS):
+        verdicts += check_prime_verdicts(spec, 40 + i)
+    assert True in verdicts and False in verdicts
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(PRODUCT_OF_POLYQUOTS, 6)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_field_test_on_nested_specs(spec, seed):
+    check_prime_verdicts(spec, seed)
+
+
+def test_field_test_leaves_a_warm_provider_untouched():
+    """A repeated call is answered from the session memos and the tensor:
+    no oracle query, no decision, no random draw."""
+    for backend in ("exact", "sampled"):
+        for spec, literals in (
+            (ModularSpec(30), ("6", "10", "15", "0")),
+            (MatrixSpec(2, ModularSpec(3)), ("0,0;0,0",)),
+        ):
+            ring = make_ring(spec, 17)
+            p = PrimitiveProvider(ProviderConfig(backend=backend, seed=17))
+            rep = ops.ring_representation(ring, p)
+            for text in literals:
+                i_spec = IdealSpec("two", (parse_element_literal(ring, text),))
+                first = ops.is_prime_ideal(ring, i_spec, p, rep)
+                before = (ring.ledger.snapshot(), p.stats["decisions"], p.rng.getstate())
+                assert ops.is_prime_ideal(ring, i_spec, p, rep) == first
+                after = (ring.ledger.snapshot(), p.stats["decisions"], p.rng.getstate())
+                assert after == before, (spec.describe(), backend, text)

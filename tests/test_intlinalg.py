@@ -5,13 +5,16 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringbox.errors import PreconditionError
 from ringbox.intlinalg import (
+    MILLER_RABIN_BOUND,
     IntMatrix,
     LatticeBuilder,
     egcd,
     euler_phi,
     factorize,
     invariant_factors,
+    is_prime,
     lattice_kernel_mod,
     smith_normal_form,
     solve_diophantine,
@@ -347,3 +350,34 @@ def test_egcd_and_phi():
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
     assert euler_phi(199 - 1) == euler_phi(198)
+
+
+def test_is_prime_matches_trial_division():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(limit**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytearray(len(range(d * d, limit, d)))
+    assert [n for n in range(limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+    assert not is_prime(-7)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37 respectively
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 2_251_799_813_687_339, 2**80 - 65):
+        assert is_prime(n)
+    assert not is_prime((2**31 - 1) * (10**9 + 7))
+
+
+def test_is_prime_refuses_above_its_exact_bound():
+    # the bound is the least strong pseudoprime to every base in use
+    assert not is_prime(1287836182261 * 2575672364521 - 2)
+    for n in (MILLER_RABIN_BOUND, 2**89 - 1):
+        with pytest.raises(PreconditionError, match="not decided"):
+            is_prime(n)
+    assert not is_prime(2**100)  # a multiple of a base needs no test

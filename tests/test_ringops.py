@@ -1,4 +1,6 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,8 +16,9 @@ from ringbox.blackbox import (
 )
 from ringbox.errors import HidingContractError, PreconditionError
 from ringbox.idealcore import IdealSpec
+from ringbox.intlinalg import LatticeBuilder
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
-from ringbox.ringops import HomomorphismOracle
+from ringbox.ringops import HomomorphismOracle, _quotient_is_field
 
 
 def provider(backend="exact", seed=1, **kw):
@@ -285,6 +288,71 @@ def test_prime_zero_ideal_in_field():
     elems = verify.ring_elements(m)
     zero_set = frozenset({lit(m, "0,0;0,0")})
     assert not verify.is_prime_by_definition(m, zero_set, elems)
+
+
+P61 = 2**61 - 1  # 3 mod 4, so x^2 + 1 is irreducible over F_P61
+
+
+@pytest.mark.parametrize(
+    "spec, generator, want",
+    [
+        (ModularSpec(2_251_799_813_687_339), "0", True),
+        (ModularSpec(2**64), "2", True),
+        (ModularSpec(2**64), "4", False),
+        # x^16 + x^14 + x^13 + x^11 + 1 is irreducible over F_2
+        (PolyQuotSpec(2, (1,) + (0,) * 10 + (1, 0, 1, 1, 0, 1)), "[0]", True),
+        (PolyQuotSpec(P61, (1, 0, 1)), "[0]", True),
+        (PolyQuotSpec(P61, (P61 - 1, 0, 1)), "[0]", False),  # (x - 1)(x + 1)
+        (PolyQuotSpec(P61, (P61 - 1, 0, 1)), "[1, 1]", True),
+        (MatrixSpec(2, ModularSpec(65536)), "0,0;0,0", False),
+    ],
+)
+def test_prime_field_test_beyond_the_desk_cap(spec, generator, want):
+    ring = make_ring(spec, 3)
+    for backend in ("exact", "sampled"):
+        p = provider(backend)
+        v = ops.is_prime_ideal(ring, IdealSpec("two", (lit(ring, generator),)), p)
+        assert (v.prime, v.trials, v.confidence) == (want, 0, 1.0)
+
+
+def test_prime_refuses_a_characteristic_above_the_exact_bound():
+    ring = make_ring(ModularSpec(2**89 - 1), 3)
+    with pytest.raises(PreconditionError, match="not decided"):
+        ops.is_prime_ideal(ring, IdealSpec("two", (lit(ring, "0"),)), provider())
+
+
+def structure_tensor(basis, mul, p):
+    """M[i][j] = coordinates of basis[i] * basis[j] over ``basis`` mod p."""
+    width = len(basis[0])
+    combos = {
+        tuple(sum(c * b[t] for c, b in zip(cs, basis)) % p for t in range(width)): cs
+        for cs in itertools.product(range(p), repeat=len(basis))
+    }
+    return tuple(tuple(combos[mul(x, y)] for y in basis) for x in basis)
+
+
+def test_field_test_refuses_a_noncommutative_quotient():
+    """In this basis of M_2(F_3) the cubes of the basis vectors are
+    independent and fix a 1-dimensional space, so only the commutativity
+    check tells the algebra from a field."""
+
+    def mat_mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return tuple(
+            v % 3 for v in (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        )
+
+    basis = [(2, 2, 2, 1), (2, 2, 2, 0), (1, 1, 2, 0), (2, 0, 1, 1)]
+    rep = SimpleNamespace(orders=(3,) * 4, tensor=structure_tensor(basis, mat_mul, 3))
+    assert not _quotient_is_field(rep, LatticeBuilder(4, seed_moduli=(3,) * 4))
+
+    def f9_mul(x, y):  # F_3[i]/(i^2 + 1), as (re, im)
+        return ((x[0] * y[0] - x[1] * y[1]) % 3, (x[0] * y[1] + x[1] * y[0]) % 3)
+
+    tensor = structure_tensor([(1, 1), (2, 0)], f9_mul, 3)
+    rep = SimpleNamespace(orders=(3, 3), tensor=tensor)
+    assert _quotient_is_field(rep, LatticeBuilder(2, seed_moduli=(3, 3)))
 
 
 def test_prime_needs_two_sided_ideal():
