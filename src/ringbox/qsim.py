@@ -8,11 +8,15 @@ subgroup A spanned by generators g_j is the lattice L_A spanned by
 coords(g_j) and the moduli m_i e_i, so |A| = prod(m_i) / det(L_A) and
 |A∩B| = |A||B| / |A+B|; two cosets meet exactly when the difference of their
 offsets lies in L_A + L_B.  Hidden subgroups are kernels of additive maps,
-read off one Hermite form.  The *sampled* backend consults the same ground
-truth internally but exposes only measurement-shaped data: swap-test shots
-with the correct Bernoulli law, characters drawn uniformly from the
-annihilator dual (their joint kernel is taken after reducing them to at most
-l Hermite rows, l the hiding map's dimension), and period-finding outcomes
+read off one Hermite form, then spot-checked against the map: through the
+images of the generators when the map is additive by construction (the
+ring's coordinates, and the intersection, colon and annihilator labels of
+``ringops``), through oracle evaluations otherwise (the hom kernel's map and
+any other caller-supplied ``post``).  The *sampled* backend consults the
+same ground truth internally but exposes only measurement-shaped data:
+swap-test shots with the correct Bernoulli law, characters drawn uniformly
+from the annihilator dual (their joint kernel is taken after reducing them
+to at most l Hermite rows, l the hiding map's dimension), and period-finding outcomes
 concentrated near multiples of q/c followed by continued-fraction
 reconstruction.  Consumers are written
 against the sample interface and never receive the hidden structure
@@ -126,6 +130,14 @@ class HidingFunction:
     Z^p and ``target`` a full-rank lattice in Z^p, so the hidden subgroup is
     the kernel.  Both default to the ring's own coordinates (labels are then
     the elements themselves).
+
+    ``additive`` marks a ``post`` that is additive by construction: the
+    default (the ring's coordinates, used by ``abelian``) and the label maps
+    ``ringops`` builds from span coordinates and ring multiplication
+    (intersection, colon, annihilator).  The exact backend spot-checks those
+    through coordinates; any other ``post`` (the hom kernel's caller-supplied
+    map included) is spot-checked by evaluating the map on oracle elements,
+    which is what catches a ``post`` that is not additive.
     """
 
     ring: RingOracle
@@ -134,6 +146,7 @@ class HidingFunction:
     post: object = None  # callable code -> coordinate vector, additive mod target
     target: LatticeBuilder | None = None
     name: str = ""
+    additive: bool = False
 
     def __post_init__(self):
         if (self.post is None) != (self.target is None):
@@ -141,12 +154,14 @@ class HidingFunction:
         if self.post is None:
             object.__setattr__(self, "post", self.ring._coords)
             object.__setattr__(self, "target", _moduli_lattice(self.ring))
+            object.__setattr__(self, "additive", True)
 
     def label_of(self, code: ElementCode):
         return self.target.reduce(self.post(code))
 
     def evaluate(self, z) -> object:
-        """Label at coordinate vector z (used for spot checks)."""
+        """Label at coordinate vector z, through the oracle (the spot check
+        of a hiding map that is not additive by construction)."""
         coeffs = [zj % sj for zj, sj in zip(z, self.moduli)]
         chan, zero = self.ring.unmetered, self.ring._zero_code()
         return self.label_of(combine_codes(chan, self.combo_generators, coeffs, zero))
@@ -335,7 +350,13 @@ class PrimitiveProvider:
 
     # ---- hidden subgroup machinery ----
 
-    def _spot_check(self, hiding: HidingFunction, lattice: LatticeBuilder, checks=6):
+    def _spot_check(
+        self, hiding: HidingFunction, lattice: LatticeBuilder, images, checks=6
+    ):
+        """Check random lattice vectors h against the map: label(z) =
+        label(z + h), through the oracle; for an additive ``post``, through
+        the images post(g_j): sum_j h_j post(g_j) lies in the target.  Both
+        paths draw z and h alike, so the random stream is the same."""
         k = len(hiding.moduli)
         cols = lattice.basis_columns()
         for _ in range(checks):
@@ -345,8 +366,17 @@ class PrimitiveProvider:
                 c = self.rng.randrange(0, 3)
                 if c:
                     h = [a + c * b for a, b in zip(h, col)]
-            zh = tuple((a + b) % s for a, b, s in zip(z, h, hiding.moduli))
-            if hiding.evaluate(z) != hiding.evaluate(zh):
+            if hiding.additive:
+                label = [0] * hiding.target.dim
+                for hj, s, image in zip(h, hiding.moduli, images):
+                    n = hj % s
+                    if n:
+                        label = [a + n * b for a, b in zip(label, image)]
+                constant = hiding.target.contains(label)
+            else:
+                zh = tuple((a + b) % s for a, b, s in zip(z, h, hiding.moduli))
+                constant = hiding.evaluate(z) == hiding.evaluate(zh)
+            if not constant:
                 raise HidingContractError(
                     f"hiding {hiding.name or '<anonymous>'} is not constant on cosets"
                 )
@@ -361,7 +391,7 @@ class PrimitiveProvider:
         for col in stacked.basis_columns():
             if not any(col[:dim]):
                 lattice.add(col[dim:])
-        self._spot_check(hiding, lattice)
+        self._spot_check(hiding, lattice, images)
         return lattice
 
     def sample_hidden_subgroup_characters(

@@ -167,9 +167,10 @@ def inverse(
     return qv.pow(r, c - 1)
 
 
-def _label_map(coords, lattice: LatticeBuilder, maps):
-    """(post, target) of the hiding label x -> (coords(f(x)) for f in maps),
-    each block reduced modulo ``lattice``; additive when every f is."""
+def _label_map(coords, lattice: LatticeBuilder, maps, additive: bool):
+    """(post, target, additive) of the hiding label x -> (coords(f(x)) for f
+    in maps), each block reduced modulo ``lattice``; additive when every f
+    is, and ``additive`` says that every f is so by construction."""
 
     def post(code):
         return tuple(c for f in maps for c in coords(f(code)))
@@ -179,14 +180,14 @@ def _label_map(coords, lattice: LatticeBuilder, maps):
     for b in range(copies):
         for col in lattice.basis_columns():
             target.add((0,) * (b * dim) + col + (0,) * ((copies - b - 1) * dim))
-    return post, target
+    return post, target, additive
 
 
 def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
     """(code, provenance) generators of the subgroup of (rep,+) hidden by
-    ``label`` (a (post, target) pair), composed over the represented basis;
-    the zero entry when the subgroup is trivial."""
-    post, target = label
+    ``label`` (a (post, target, additive) triple), composed over the
+    represented basis; the zero entry when the subgroup is trivial."""
+    post, target, additive = label
     hiding = HidingFunction(
         ring=ring,
         moduli=rep.orders,
@@ -194,6 +195,7 @@ def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
         post=post,
         target=target,
         name=name,
+        additive=additive,
     )
     gens, _ = subgroup_of_torus(provider.solve_ahsp(hiding).lattice, rep.orders)
     entries = [
@@ -232,7 +234,7 @@ def ideal_intersection(
     acc_j = accumulate_additive_generators(ring, j_spec, provider)
     lat_j = ideal_lattice(ring, acc_j.codes, ring_rep.basis, provider)
     span = provider.span_coordinates(ring, ring_rep.basis)
-    label = _label_map(span, lat_j, [lambda x: x])
+    label = _label_map(span, lat_j, [lambda x: x], additive=True)
     entries = _hidden_entries(ring, rep_i, label, "intersection", provider)
     return representation_from_additive(ring, entries, provider)
 
@@ -256,7 +258,8 @@ def colon_ideal(
     lat_i = ideal_lattice(ring, acc_i.codes, ring_rep.basis, provider)
     span = provider.span_coordinates(ring, ring_rep.basis)
     mul = ring.unmetered.mul
-    label = _label_map(span, lat_i, [lambda x, b=b: mul(x, b) for b in acc_j.codes])
+    maps = [lambda x, b=b: mul(x, b) for b in acc_j.codes]
+    label = _label_map(span, lat_i, maps, additive=True)
     return _hidden_group(ring, ring_rep, label, "colon", provider)
 
 
@@ -276,7 +279,7 @@ def annihilator(
         maps = [lambda x, s=s: mul(x, s) for s in s_elems]
     else:
         maps = [lambda x, s=s: mul(s, x) for s in s_elems]
-    label = _label_map(ring._coords, _moduli_lattice(ring), maps)
+    label = _label_map(ring._coords, _moduli_lattice(ring), maps, additive=True)
     return _hidden_group(ring, ring_rep, label, "annihilator", provider)
 
 
@@ -413,7 +416,8 @@ def hom_kernel(
     ring = rho.domain
     domain_rep = domain_rep or ring_representation(ring, provider)
     cod = rho.codomain
-    label = _label_map(cod._coords, _moduli_lattice(cod), [rho.mapping])
+    # rho is the caller's map: its spot check walks the oracle
+    label = _label_map(cod._coords, _moduli_lattice(cod), [rho.mapping], additive=False)
     return _hidden_group(ring, domain_rep, label, "hom-kernel", provider)
 
 

@@ -254,6 +254,34 @@ def test_fuzz_spec_strings_fail_only_as_documented(text, cut):
             pass
 
 
+# element literals of modular, polyquot, product and matrix-over-product
+# rings, with one well-formed literal each to splice malformed text into
+_LITERAL_RINGS = [
+    (make_ring(spec, 1), valid)
+    for spec, valid in (
+        (Z12, "7"),
+        (F4, "[1, 1]"),
+        (Z2xZ9, "(1, 5)"),
+        (MatrixSpec(2, Z2xZ9), "(1, 2), (0, 3); (1, 1), (0, 8)"),
+    )
+]
+
+
+@given(st.text(alphabet="0123456789-+ ,;()[]xae", max_size=24), st.integers(0, 40))
+@example("((1, 2), 3)", 0)
+@example("(1, (2, 3)); (", 40)
+@example("[1, , 2]", 3)
+@example("", 0)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzz_element_literals_fail_only_as_parse_errors(text, cut):
+    for ring, valid in _LITERAL_RINGS:
+        for candidate in (text, valid[:cut] + text + valid[cut:]):
+            try:
+                parse_element_literal(ring, candidate)
+            except ParseError:
+                pass
+
+
 def test_code_bits_opacity_outside_blackbox():
     # no module except blackbox (construction) and cli (display) may touch
     # the bit content of an ElementCode

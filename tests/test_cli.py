@@ -133,6 +133,15 @@ def test_parse_errors_exit_2(ring_file, capsys):
         assert code == 2, (argv, err)
 
 
+def test_malformed_element_literal_exit_2(ring_file, capsys):
+    path = ring_file("z2xz9.ring", Z2XZ9)
+    for literal in ("(1, (2", "(1, 2, 3)", "[1]", "(1; 2)", "(, )", "((1, 2), 3)"):
+        code, out, err = invoke(
+            capsys, ["member", "--ring", path, "--ideal", "(1, 3)", "--element", literal]
+        )
+        assert code == 2 and not out, (literal, err)
+
+
 def test_unknown_command_exit_2(ring_file, capsys):
     path = ring_file("z12.ring", Z12)
     code, _, _ = invoke(capsys, ["frobnicate", "--ring", path])

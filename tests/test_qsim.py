@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringbox import ringops as ops
 from ringbox.abelian import _decompose_via_hidden_cycle, decompose_group
 from ringbox.blackbox import (
     MatrixSpec,
@@ -14,6 +15,7 @@ from ringbox.blackbox import (
     parse_element_literal,
 )
 from ringbox.errors import HidingContractError, PreconditionError
+from ringbox.idealcore import IdealSpec
 from ringbox.intlinalg import IntMatrix, LatticeBuilder, lattice_kernel_mod
 from ringbox.qsim import (
     HidingFunction,
@@ -210,6 +212,98 @@ def test_sampled_solve_matches_exact_on_desk_rings():
         sampled = provider("sampled", seed=6, epsilon=1e-9)
         for hiding in rec.hidings:
             assert sampled.solve_ahsp(hiding) == exact.solve_ahsp(hiding)
+
+
+def record_desk_hidings(spec):
+    """The hiding maps one ring_representation, one intersection, one colon
+    and one annihilator build on a ring, recorded as solved."""
+    ring = make_ring(spec, 3)
+    rec = RecordingProvider(ProviderConfig(seed=5, epsilon=1e-9))
+    rep = ops.ring_representation(ring, rec)
+    span = SubgroupDescriptor(ring, rep.basis.h, basis=rep.basis)
+    a, b = (rec.sample_uniform(span)[0] for _ in range(2))
+    ia, ib = IdealSpec("left", (a,)), IdealSpec("left", (b,))
+    ops.ideal_intersection(ring, ia, ib, rec, rep)
+    ops.colon_ideal(ring, ia, ib, rec, rep)
+    ops.annihilator(ring, (a,), "left", rec, rep)
+    return ring, rec.hidings
+
+
+def oracle_twin(hiding):
+    """The same hiding map behind a post the library did not build."""
+    return HidingFunction(
+        ring=hiding.ring,
+        moduli=hiding.moduli,
+        combo_generators=hiding.combo_generators,
+        post=lambda code, f=hiding.post: f(code),
+        target=hiding.target,
+        name=hiding.name,
+    )
+
+
+def test_coordinate_spot_check_matches_oracle_path_on_desk_rings():
+    names = set()
+    for _, spec in DESK_SUITE:
+        _, hidings = record_desk_hidings(spec)
+        for hiding in hidings:
+            names.add(hiding.name)
+            twin = oracle_twin(hiding)
+            assert hiding.additive and not twin.additive
+            by_coords = provider(seed=6, epsilon=1e-9)
+            by_oracle = provider(seed=6, epsilon=1e-9)
+            assert by_coords.solve_ahsp(hiding) == by_oracle.solve_ahsp(twin)
+            assert by_coords.rng.getstate() == by_oracle.rng.getstate()
+    assert names == {
+        "relation-lattice",
+        "element-decomposition",
+        "intersection",
+        "colon",
+        "annihilator",
+    }
+
+
+def test_hom_kernel_map_keeps_the_oracle_path():
+    ring = make_ring(ModularSpec(12), 7)
+    rec = RecordingProvider(ProviderConfig(seed=5))
+    rho = ops.HomomorphismOracle(ring, ring, lambda code: code, name="identity")
+    ops.hom_kernel(rho, rec)
+    (hiding,) = (h for h in rec.hidings if h.name == "hom-kernel")
+    assert not hiding.additive
+
+
+def test_coordinate_spot_check_rejects_a_column_outside_the_kernel():
+    r = ring_z12()
+    gens = codes(r, 1, 4)
+    hiding = hiding_for_kernel(r, gens, (12, 3))  # kernel of z -> z_1 + 4 z_2
+    assert hiding.additive
+    p = provider()
+    wrong = p._hidden_subgroup_exact(hiding)
+    assert wrong.add((0, 1))  # 4 is not 0 in Z_12
+    images = [r._coords(g) for g in gens]
+    with pytest.raises(HidingContractError):
+        p._spot_check(hiding, wrong, images)
+
+
+def test_coordinate_spot_check_makes_no_oracle_call(monkeypatch):
+    ring, hidings = record_desk_hidings(MatrixSpec(2, ModularSpec(2)))
+    calls = {"add": 0, "mul": 0}
+
+    def counted(name, raw):
+        def wrapped(a, b):
+            calls[name] += 1
+            return raw(a, b)
+
+        return wrapped
+
+    monkeypatch.setattr(ring, "_raw_add", counted("add", ring._raw_add))
+    monkeypatch.setattr(ring, "_raw_mul", counted("mul", ring._raw_mul))
+    defaults = [h for h in hidings if h.name in ("relation-lattice", "element-decomposition")]
+    assert defaults
+    for hiding in defaults:
+        provider().solve_ahsp(hiding)
+    assert calls == {"add": 0, "mul": 0}
+    provider().solve_ahsp(oracle_twin(max(defaults, key=lambda h: len(h.moduli))))
+    assert calls["add"] > 0  # the counters see the oracle path
 
 
 def test_solve_ahsp_constant_function():
