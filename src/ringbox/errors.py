@@ -38,7 +38,8 @@ class PreconditionError(RingBoxError):
 
 
 class LowConfidenceError(RingBoxError):
-    """A sampled-backend procedure could not reach its confidence target."""
+    """A randomized procedure could not reach its confidence target (a
+    sampled-backend estimate, or accumulation draws that all stayed in B)."""
 
 
 class ParseError(RingBoxError):

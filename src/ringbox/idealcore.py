@@ -1,13 +1,15 @@
 """Additive-generator accumulation and basis representations of ideals.
 
 Starting from ideal generators, the accumulation loop grows an additive
-generating set: for each ring generator r it swap-tests whether r*B equals B;
-on failure it draws uniform elements of r*B until one fails the membership
-swap test and adjoins it.  A full scan in which every ring generator either
-fixes B or yields no fresh element certifies that B is closed under
-multiplication, hence equals the ideal.  Each adjoined element at least
-doubles the generated group, so the number of augmentations is at most
-log2 of the ideal order.
+generating set: for each ring generator r it swap-tests whether r*B lies in
+B, as the equality of B + r*B with B; on a rejection it draws uniform
+elements of r*B until one fails the membership swap test and adjoins it.  A
+full scan in which every containment test accepts certifies that B is closed
+under multiplication, hence equals the ideal.  A rejection is certain (the
+swap test errs only by accepting), so a rejected entry whose draws all stay
+in B raises LowConfidenceError rather than being skipped.  Each adjoined
+element at least doubles the generated group, so the number of
+augmentations is at most log2 of the ideal order.
 
 A provider accumulates each ideal once: the result is kept in its session
 memo ``accumulations``, keyed by ring, ideal spec and ring generators, and
@@ -31,7 +33,12 @@ from .abelian import (
     decompose_group,
 )
 from .blackbox import ElementCode, RingOracle
-from .errors import ClosureError, MembershipError, PreconditionError
+from .errors import (
+    ClosureError,
+    LowConfidenceError,
+    MembershipError,
+    PreconditionError,
+)
 from .qsim import PrimitiveProvider, SubgroupDescriptor, combine_codes
 
 __all__ = [
@@ -201,10 +208,12 @@ def accumulate_additive_generators(
     """Grow the ideal generators into an additive generating set of (I,+).
 
     Scan order over the ring generators is fixed and restarts after every
-    augmentation.  Membership sampling for one scan entry is capped at
-    ceil(log2(1/epsilon)) + 4 draws; exhausting the cap leaves that entry for
-    the next scan (statistically it certifies r*B inside B, the closure
-    condition).  Termination: a complete scan with no augmentation.
+    augmentation.  Each scan entry (side, r) is one containment swap test:
+    the overlap of B + r*B with B is |B| / |B + r*B|, at most 1/2 unless
+    r*B lies in B.  After a rejection each uniform draw r*x escapes B with
+    probability at least 1/2, so the draws are capped at
+    ceil(log2(1/epsilon)) + 4; exhausting the cap raises LowConfidenceError.
+    Termination: a complete scan in which every containment test accepts.
 
     The result is memoized in ``provider.accumulations`` under (ring key,
     ideal, ring generators): a repeat call returns the stored result and
@@ -224,13 +233,15 @@ def accumulate_additive_generators(
     cap = ceil(log2(1.0 / provider.config.epsilon)) + 4
     decisions_before = provider.stats["decisions"]
     while True:
-        augmented = False
         for side, gi in plan:
             r = ring_gens[gi]
             scaled = tuple(_mul_side(ring, side, r, h) for h in basis.h)
             b_desc = _basis_descriptor(ring, basis)
-            rb_desc = SubgroupDescriptor(ring, scaled)
-            if provider.is_subset_decision(rb_desc, b_desc):
+            # generators already in basis.h are dropped: when r fixes every
+            # h_i (r = 1, say) the joined span is B's own, already built
+            fresh = tuple(c for c in scaled if c not in basis.h)
+            joined = SubgroupDescriptor(ring, basis.h + fresh)
+            if provider.is_subset_decision(joined, b_desc):
                 continue
             for _ in range(cap):
                 x, coeffs = provider.sample_uniform(b_desc)
@@ -242,12 +253,15 @@ def accumulate_additive_generators(
                 basis = decompose_group(ring, [c for c, _ in entries], provider)
                 sizes.append(basis.order())
                 rounds += 1
-                augmented = True
                 break
-            if augmented:
-                break
-        if not augmented:
-            break
+            else:
+                # the rejection is certain, so B is not closed
+                raise LowConfidenceError(
+                    f"{cap} draws from r*B all fell in B, which r*B leaves"
+                )
+            break  # augmented: rescan from the start
+        else:
+            break  # every containment test accepted
     done = provider.accumulations[key] = AccumulationResult(
         entries=tuple(entries),
         basis=basis,

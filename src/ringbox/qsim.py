@@ -187,27 +187,28 @@ def _annihilator(vectors, moduli) -> tuple[tuple[int, ...], ...]:
 
 class _Span:
     """Subgroup of (R,+) spanned by a generator tuple, in the spec's
-    additive coordinates (the stacked lattice of coords(g_j) over the
-    moduli)."""
+    additive coordinates: the lattice L of coords(g_j) over the moduli,
+    built directly, and its order.  The stacked Hermite form of the
+    coords(g_j) over the moduli (its heads span L, its tails track the
+    combination) is built on the first ``coordinates`` call; overlaps read
+    only L."""
 
     def __init__(self, ring: RingOracle, gens):
         self.dim = len(ring.spec._moduli)
-        self.stacked = stacked_lattice(
-            [ring._coords(g) for g in gens], _moduli_lattice(ring)
-        )
-        # the head columns: an echelon basis of the subgroup's lattice L
-        self.columns = tuple(
-            col[: self.dim] for col in self.stacked.basis_columns() if any(col[: self.dim])
-        )
-        self.lattice = LatticeBuilder(self.dim)
-        for col in self.columns:
-            self.lattice.add(col)
+        self._images = [ring._coords(g) for g in gens]
+        self.lattice = _moduli_lattice(ring)
+        for image in self._images:
+            self.lattice.add(image)
+        self.columns = self.lattice.basis_columns()
         self.order = ring._ring_size() // self.lattice.determinant()
+        self._stacked = None
 
     def coordinates(self, ring: RingOracle, code: ElementCode, orders):
         """n with code = sum_j n_j g_j and 0 <= n_j < orders[j], for
         independent generators of the given orders."""
-        rest = self.stacked.reduce(ring._coords(code) + (0,) * len(orders))
+        if self._stacked is None:
+            self._stacked = stacked_lattice(self._images, _moduli_lattice(ring))
+        rest = self._stacked.reduce(ring._coords(code) + (0,) * len(orders))
         if any(rest[: self.dim]):
             raise MembershipError("element lies outside the ambient basis span")
         return tuple((-v) % s for v, s in zip(rest[self.dim :], orders))

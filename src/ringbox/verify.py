@@ -58,28 +58,34 @@ def ideal_closure(ring: RingOracle, gens, side: str) -> frozenset:
     """Smallest set containing ``gens`` closed under addition and one- or
     two-sided multiplication by every ring element.
 
-    Grows an additive generating list one product at a time; each appended
-    product at least doubles the additive span, so the list stays short.
+    Forms the products of each element with the ring generators once, when
+    the element joins the span; a product outside the span extends the span
+    by the product's multiples, and the new elements wait their turn.
     """
     chan = ring.verification
-    basis = list(gens)
-    while True:
-        # scan the mutable set: its iteration order fixes which fresh product
-        # is found first, and with it the verification query count
-        span = _additive_closure(chan, basis)
-        fresh = next(
-            (
-                c
-                for x in span
-                for r in ring.generators
-                for c in _products(chan, r, x, side)
-                if c not in span
-            ),
-            None,
-        )
-        if fresh is None:
-            return frozenset(span)
-        basis.append(fresh)
+    span = _additive_closure(chan, list(gens))
+    pending = list(span)
+    while pending:
+        x = pending.pop()
+        for r in ring.generators:
+            for c in _products(chan, r, x, side):
+                if c not in span:
+                    pending += _extend(chan, span, c)
+    return frozenset(span)
+
+
+def _extend(chan, span: set, g) -> list:
+    """Grow the group ``span`` in place to span + <g>, one coset span + k*g
+    at a time until k*g falls in it; returns the new elements."""
+    base = list(span)
+    fresh = []
+    step = g
+    while step not in span:
+        coset = [chan.add(x, step) for x in base]
+        span.update(coset)
+        fresh += coset
+        step = chan.add(step, g)
+    return fresh
 
 
 def _products(chan, r, x, side) -> list:

@@ -1,9 +1,10 @@
 """The simulation layer's ground truth (lattice algebra over the additive
 coordinates of a ring description) against brute-force enumeration through
 ``ringbox.verify``: element codes, subgroup orders, coset overlaps and the
-exact hidden subgroup of every hiding-map kind, and the field test behind
-``prime``, on the ten desk rings, on explicit rings and on random nested
-descriptions."""
+exact hidden subgroup of every hiding-map kind, the direct span lattice
+against the stacked Hermite form, and the field test behind ``prime``, on
+the ten desk rings, on explicit rings and on random nested descriptions; and
+``verify.ideal_closure`` itself against a naive fixpoint."""
 
 import itertools
 import random
@@ -24,10 +25,18 @@ from ringbox.blackbox import (
     make_ring,
     parse_element_literal,
 )
-from ringbox.errors import PreconditionError
+from ringbox.abelian import decompose_group
+from ringbox.errors import MembershipError, PreconditionError
 from ringbox.idealcore import IdealSpec, find_basis_representation
-from ringbox.intlinalg import LatticeBuilder
-from ringbox.qsim import PrimitiveProvider, ProviderConfig, SubgroupDescriptor
+from ringbox.intlinalg import LatticeBuilder, stacked_lattice
+from ringbox.qsim import (
+    PrimitiveProvider,
+    ProviderConfig,
+    SubgroupDescriptor,
+    _moduli_lattice,
+    _Span,
+    combine_codes,
+)
 from test_acceptance import DESK_SUITE
 
 
@@ -307,6 +316,92 @@ def test_nested_specs_against_enumeration(spec, seed):
     zero = verify.find_zero(ring, elems)
     assert rep.order() == len(closure)
     assert verify.additive_span(ring, rep.basis.h + (zero,)) == closure
+
+
+def naive_closure(ring, gens, side):
+    """Fixpoint of pairwise sums and products with the ring generators."""
+    chan = ring.verification
+    out = frozenset(gens)
+    while True:
+        grown = set(out)
+        grown.update(chan.add(x, y) for x in out for y in out)
+        for r in ring.generators:
+            if side in ("left", "two"):
+                grown.update(chan.mul(r, x) for x in out)
+            if side in ("right", "two"):
+                grown.update(chan.mul(x, r) for x in out)
+        if grown == out:
+            return out
+        out = frozenset(grown)
+
+
+def test_ideal_closure_matches_a_naive_fixpoint():
+    rng = random.Random(23)
+    for _, spec in DESK_SUITE + [(None, MatrixSpec(2, ModularSpec(3)))]:
+        ring = make_ring(spec, rng.randrange(1 << 30))
+        elems = sorted_elements(ring)
+        assert set(elems) == naive_closure(ring, ring.generators, "two")
+        for side in ("left", "right", "two"):
+            gens = tuple(rng.choice(elems) for _ in range(rng.randint(1, 2)))
+            want = naive_closure(ring, gens, side)
+            assert verify.ideal_closure(ring, gens, side) == want, (spec.describe(), side)
+
+
+# -- spans: the direct lattice against the stacked Hermite form -----------------
+
+
+def check_span_against_stacked(spec, seed):
+    """``_Span`` builds its lattice directly and the stacked form of
+    coords(h_j) over the moduli only for coordinates; its lattice, order and
+    coordinates must equal what the heads and tails of the stacked form
+    give, for invariant-factor bases of random generator tuples."""
+    ring = make_ring(spec, seed)
+    rng = random.Random(seed)
+    elems = sorted_elements(ring)
+    zero = verify.find_zero(ring, elems)
+    dim = len(ring.spec._moduli)
+    for _ in range(3):
+        gens = tuple(rng.choice(elems) for _ in range(rng.randint(1, 3)))
+        basis = decompose_group(ring, gens, exact(seed))
+        span = _Span(ring, basis.h)
+        stacked = stacked_lattice([ring._coords(h) for h in basis.h], _moduli_lattice(ring))
+        heads = tuple(col[:dim] for col in stacked.basis_columns() if any(col[:dim]))
+        assert span.lattice.basis_columns() == heads
+        head_lattice = LatticeBuilder(dim)
+        for col in heads:
+            head_lattice.add(col)
+        assert span.order == ring._ring_size() // head_lattice.determinant()
+        members = verify.additive_span(ring, gens)
+        assert span.order == len(members) == basis.order()
+        for code in elems:
+            rest = stacked.reduce(ring._coords(code) + (0,) * len(basis.s))
+            if code not in members:
+                assert any(rest[:dim])
+                with pytest.raises(MembershipError):
+                    span.coordinates(ring, code, basis.s)
+                continue
+            got = span.coordinates(ring, code, basis.s)
+            assert got == tuple((-v) % s for v, s in zip(rest[dim:], basis.s))
+            assert combine_codes(ring.verification, basis.h, got, zero) == code
+        assert span.lattice.basis_columns() == heads
+
+
+def test_span_matches_stacked_form_on_desk_rings():
+    for i, (_, spec) in enumerate(DESK_SUITE):
+        check_span_against_stacked(spec, 60 + i)
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(MATRIX_OVER_PRODUCT, 7)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_span_matches_stacked_form_on_nested_specs(spec, seed):
+    check_span_against_stacked(spec, seed)
 
 
 # -- the field test behind `prime` --------------------------------------------

@@ -12,7 +12,7 @@ from ringbox.blackbox import (
     make_ring,
     parse_element_literal,
 )
-from ringbox.errors import ClosureError
+from ringbox.errors import ClosureError, LowConfidenceError
 from ringbox.idealcore import (
     IdealSpec,
     accumulate_additive_generators,
@@ -320,6 +320,40 @@ def test_accumulation_memo_misses(backend):
         res = accumulate_additive_generators(ring, spec_, prov, ring_gens)
         assert res is not first
         assert len(prov.accumulations) == held + 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_closed_ideal_draws_no_sample(backend):
+    # the left ideal {[a, 0; b, 0]} of M_2(Z_2): the swap generator maps it
+    # onto itself and E11 into a proper part of it, so each scan entry's
+    # containment test accepts at once
+    r = make_ring(MatrixSpec(2, ModularSpec(2)), 3)
+    p = provider(backend)
+    e11, e21 = (parse_element_literal(r, lit) for lit in ("1,0;0,0", "0,0;1,0"))
+    res = accumulate_additive_generators(r, IdealSpec("left", (e11, e21)), p)
+    assert len(r.generators) == 2
+    assert (res.rounds, res.decisions) == (0, 2)
+    assert (p.stats["samples"], p.stats["decisions"]) == (0, 2)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_exhausted_cap_after_a_rejection_raises(backend, monkeypatch):
+    # E21 * E11 = E21 leaves B = {0, E11}, so the containment test rejects
+    # for certain; draws forced to B's zero can never leave B
+    r = make_ring(MatrixSpec(2, ModularSpec(2)), 3)
+    p = provider(backend, epsilon=1e-3)
+    e11, zero = (parse_element_literal(r, lit) for lit in ("1,0;0,0", "0,0;0,0"))
+    draws = []
+
+    def zero_draw(sub):
+        draws.append(sub)
+        return zero, (0,) * len(sub.basis.s)
+
+    monkeypatch.setattr(p, "sample_uniform", zero_draw)
+    with pytest.raises(LowConfidenceError):
+        accumulate_additive_generators(r, IdealSpec("left", (e11,)), p)
+    assert len(draws) == 14  # ceil(log2(1/epsilon)) + 4
+    assert not p.accumulations
 
 
 def _answers(r, i_spec, j_spec, x, p, zero):
