@@ -617,9 +617,6 @@ class RingOracle:
     def _zero_code(self) -> ElementCode:
         return self._encode(self.spec.zero())
 
-    def _one_code(self) -> ElementCode:
-        return self._encode(self.spec.one())
-
     def _additive_order(self, code: ElementCode) -> int:
         return self.spec.additive_order(self._decode(code))
 

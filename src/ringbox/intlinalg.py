@@ -2,11 +2,10 @@
 
 The incremental Hermite form (``LatticeBuilder``) computes the kernel and
 image lattices the package uses: ``stacked_lattice`` stacks the images over a
-target lattice, and ``lattice_kernel_mod`` reads a modular kernel off it.
-The Smith form serves only the jobs that need it: ``invariant_factors``
-(behind ``subgroup_of_torus`` and the group decomposition, and the only
-reader of its U and ``u_inv``) and ``solve_diophantine`` (the particular
-solutions of ``solve_modular``).
+target lattice, ``lattice_kernel_mod`` reads a modular kernel off it, and
+``preimage`` a particular solution (``solve_modular``, span coordinates).
+The Smith form serves only ``invariant_factors`` (behind
+``subgroup_of_torus`` and the group decomposition).
 
 ``is_prime`` (deterministic Miller-Rabin) serves the ring validation and the
 field test behind ``prime``; ``factorize`` and ``euler_phi`` (trial division)
@@ -27,12 +26,11 @@ from .errors import DimensionError, PreconditionError
 __all__ = [
     "IntMatrix",
     "SNFResult",
-    "DiophantineResult",
     "smith_normal_form",
-    "solve_diophantine",
     "solve_modular",
     "LatticeBuilder",
     "stacked_lattice",
+    "preimage",
     "lattice_kernel_mod",
     "invariant_factors",
     "subgroup_of_torus",
@@ -203,9 +201,6 @@ class SNFResult:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D.at(i, i) for i in range(min(self.D.rows, self.D.cols)))
 
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Diagonalize over Z by unimodular row/column operations."""
@@ -248,12 +243,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             M[r][i], M[r][j] = M[r][j], M[r][i]
         for r in range(n):
             V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def col_neg(j):
-        for r in range(m):
-            M[r][j] = -M[r][j]
-        for r in range(n):
-            V[r][j] = -V[r][j]
 
     def smallest_nonzero(t):
         best = None
@@ -317,81 +306,6 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         V=IntMatrix.from_rows(V) if n else IntMatrix.zeros(0, 0),
         u_inv=IntMatrix.from_rows(Ui) if m else IntMatrix.zeros(0, 0),
     )
-
-
-@dataclass(frozen=True)
-class DiophantineResult:
-    """Outcome of an integer linear system A*x = b.
-
-    When unsolvable, ``certificate`` is (u, g, v): a row vector u with
-    u*A == 0 (mod g) entrywise while v = u*b !== 0 (mod g); g == 0 means
-    exact-zero row (u*A == 0, u*b != 0).
-    """
-
-    solution: tuple[int, ...] | None
-    kernel: tuple[tuple[int, ...], ...]
-    certificate: tuple[tuple[int, ...], int, int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.solution is not None
-
-
-def solve_diophantine(a: IntMatrix, b) -> DiophantineResult:
-    """Solve A*x = b over the integers; kernel basis spans all homogeneous solutions."""
-    b = tuple(b)
-    if len(b) != a.rows:
-        raise DimensionError("rhs length != row count")
-    snf = smith_normal_form(a)
-    d = snf.diagonal()
-    r = snf.rank()
-    ub = snf.U.apply(b)
-    kernel = tuple(snf.V.col(j) for j in range(r, a.cols))
-    y = [0] * a.cols
-    for i in range(a.rows):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return DiophantineResult(None, kernel, (snf.U.row(i), 0, ub[i]))
-        else:
-            if ub[i] % di:
-                return DiophantineResult(None, kernel, (snf.U.row(i), di, ub[i]))
-            if i < a.cols:
-                y[i] = ub[i] // di
-    x = snf.V.apply(y)
-    return DiophantineResult(x, kernel, None)
-
-
-def solve_modular(a: IntMatrix, b, moduli) -> tuple[int, ...] | None:
-    """Solve the simultaneous congruences sum_j A[i][j]*x_j = b_i (mod moduli[i]).
-
-    Reduced to an integer system by adjoining one slack unknown per row;
-    each x_j is canonicalized into [0, effective modulus of column j).
-    """
-    b = tuple(b)
-    moduli = tuple(moduli)
-    if len(b) != a.rows or len(moduli) != a.rows:
-        raise DimensionError("rhs/moduli length != row count")
-    if any(s <= 0 for s in moduli):
-        raise ValueError("moduli must be positive")
-    m, n = a.rows, a.cols
-    aug_rows = []
-    for i in range(m):
-        row = list(a.row(i)) + [0] * m
-        row[n + i] = moduli[i]
-        aug_rows.append(row)
-    if not aug_rows:
-        return ()
-    res = solve_diophantine(IntMatrix.from_rows(aug_rows), b)
-    if not res:
-        return None
-    x = list(res.solution[:n])
-    for j in range(n):
-        eff = 1
-        for i in range(m):
-            aij = a.at(i, j)
-            eff = lcm(eff, moduli[i] // gcd(moduli[i], aij))
-        x[j] %= eff
-    return tuple(x)
 
 
 class LatticeBuilder:
@@ -500,6 +414,43 @@ def stacked_lattice(images, target: LatticeBuilder) -> LatticeBuilder:
     for j, v in enumerate(images):
         lat.add(tuple(v) + tuple(1 if i == j else 0 for i in range(k)))
     return lat
+
+
+def preimage(stacked: LatticeBuilder, head: int, vec) -> tuple[int, ...] | None:
+    """Some z with sum_j z_j images[j] - vec in the target, read off
+    ``stacked = stacked_lattice(images, target)`` with ``head = target.dim``:
+    (vec; 0) reduces to (0; -z), or None when its head does not vanish (vec
+    lies outside the image lattice plus the target, for a full-rank target)."""
+    rest = stacked.reduce(tuple(vec) + (0,) * (stacked.dim - head))
+    if any(rest[:head]):
+        return None
+    return tuple(-v for v in rest[head:])
+
+
+def solve_modular(a: IntMatrix, b, moduli) -> tuple[int, ...] | None:
+    """Solve the simultaneous congruences sum_j A[i][j]*x_j = b_i (mod moduli[i]).
+
+    The preimage of b under A's columns stacked over the moduli; each x_j is
+    canonicalized into [0, effective modulus of column j).
+    """
+    b = tuple(b)
+    moduli = tuple(moduli)
+    if len(b) != a.rows or len(moduli) != a.rows:
+        raise DimensionError("rhs/moduli length != row count")
+    if any(s <= 0 for s in moduli):
+        raise ValueError("moduli must be positive")
+    m, n = a.rows, a.cols
+    stacked = stacked_lattice(
+        [a.col(j) for j in range(n)], LatticeBuilder(m, seed_moduli=moduli)
+    )
+    x = preimage(stacked, m, b)
+    if x is None:
+        return None
+    effective = (
+        lcm(1, *(s // gcd(s, a.at(i, j)) for i, s in enumerate(moduli)))
+        for j in range(n)
+    )
+    return tuple(xj % eff for xj, eff in zip(x, effective))
 
 
 def lattice_kernel_mod(w: IntMatrix, moduli) -> tuple[tuple[int, ...], ...]:

@@ -45,6 +45,7 @@ from .intlinalg import (
     IntMatrix,
     LatticeBuilder,
     lattice_kernel_mod,
+    preimage,
     stacked_lattice,
     subgroup_of_torus,
 )
@@ -208,10 +209,10 @@ class _Span:
         independent generators of the given orders."""
         if self._stacked is None:
             self._stacked = stacked_lattice(self._images, _moduli_lattice(ring))
-        rest = self._stacked.reduce(ring._coords(code) + (0,) * len(orders))
-        if any(rest[: self.dim]):
+        n = preimage(self._stacked, self.dim, ring._coords(code))
+        if n is None:
             raise MembershipError("element lies outside the ambient basis span")
-        return tuple((-v) % s for v, s in zip(rest[self.dim :], orders))
+        return tuple(v % s for v, s in zip(n, orders))
 
 
 def _double_and_add(op, code: ElementCode, k: int) -> ElementCode:

@@ -46,7 +46,7 @@ from .intlinalg import (
     solve_modular,
     subgroup_of_torus,
 )
-from .qsim import HidingFunction, PrimitiveProvider, _moduli_lattice
+from .qsim import HidingFunction, PrimitiveProvider, _double_and_add, _moduli_lattice
 
 __all__ = [
     "HomomorphismOracle",
@@ -307,8 +307,8 @@ def solve_linear(
     """Some x with a*x = b, or None when no solution exists.
 
     Decomposing a and b over the ring basis turns the equation into modular
-    linear conditions through the multiplication tensor, solved exactly as an
-    integer system with slack unknowns.
+    linear conditions through the multiplication tensor, solved exactly by
+    ``solve_modular``.
     """
     ring_rep = ring_rep or ring_representation(ring, provider)
     basis = ring_rep.basis
@@ -500,16 +500,8 @@ def _quotient_is_field(ring_rep: BasisRepresentation, lat: LatticeBuilder) -> bo
                         out[c] += xa * yb * v
         return tuple(v % p for v in out)
 
-    def frobenius(x):
-        out = x
-        for bit in bin(p)[3:]:
-            out = mul(out, out)
-            if bit == "1":
-                out = mul(out, x)
-        return out
-
     unit = [tuple(int(a == c) for c in range(k)) for a in range(k)]
-    frob = [frobenius(e) for e in unit]
+    frob = [_double_and_add(mul, e, p) for e in unit]
     image = LatticeBuilder(k, seed_moduli=(p,) * k)
     fixed = LatticeBuilder(k, seed_moduli=(p,) * k)
     for a in range(k):

@@ -3,7 +3,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringbox.errors import PreconditionError
 from ringbox.intlinalg import (
@@ -16,9 +16,10 @@ from ringbox.intlinalg import (
     invariant_factors,
     is_prime,
     lattice_kernel_mod,
+    preimage,
     smith_normal_form,
-    solve_diophantine,
     solve_modular,
+    stacked_lattice,
     subgroup_of_torus,
 )
 
@@ -79,68 +80,6 @@ def test_snf_round_trip_500_random_dims_to_8():
         check_snf(a)
 
 
-def test_diophantine_one_row():
-    a = IntMatrix.from_rows([[4, 12]])
-    res = solve_diophantine(a, [8])
-    assert res
-    assert a.apply(res.solution) == (8,)
-    for k in res.kernel:
-        assert a.apply(k) == (0,)
-
-
-def test_diophantine_parity_unsolvable():
-    res = solve_diophantine(IntMatrix.from_rows([[2]]), [1])
-    assert not res
-    u, g, v = res.certificate
-    assert g != 0 and v % g != 0
-
-
-def test_diophantine_identity():
-    res = solve_diophantine(IntMatrix.identity(2), [5, 7])
-    assert res.solution == (5, 7)
-    assert res.kernel == ()
-
-
-def test_diophantine_certificate_zero_row():
-    a = IntMatrix.from_rows([[1, 0], [2, 0]])
-    res = solve_diophantine(a, [1, 3])
-    assert not res
-    u, g, v = res.certificate
-    ua = tuple(sum(u[i] * a.at(i, j) for i in range(2)) for j in range(2))
-    ub = u[0] * 1 + u[1] * 3
-    if g == 0:
-        assert ua == (0, 0) and ub != 0
-    else:
-        assert all(x % g == 0 for x in ua) and ub % g != 0
-
-
-def brute_diophantine_solvable(a: IntMatrix, b, bound=20):
-    for x in product(range(-bound, bound + 1), repeat=a.cols):
-        if a.apply(x) == tuple(b):
-            return True
-    return False
-
-
-@given(
-    st.integers(1, 2),
-    st.integers(1, 3),
-    st.data(),
-)
-@settings(max_examples=60, deadline=None)
-def test_diophantine_vs_brute(m, n, data):
-    entries = data.draw(st.lists(st.integers(-4, 4), min_size=m * n, max_size=m * n))
-    b = data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
-    a = IntMatrix(m, n, tuple(entries))
-    res = solve_diophantine(a, b)
-    if res:
-        assert a.apply(res.solution) == tuple(b)
-        for k in res.kernel:
-            assert a.apply(k) == (0,) * m
-    else:
-        # soundness of refusal within the brute-force window
-        assert not brute_diophantine_solvable(a, b)
-
-
 def test_modular_examples():
     a = IntMatrix.from_rows([[4]])
     assert solve_modular(a, [8], [12]) is not None
@@ -165,22 +104,47 @@ def brute_modular(a: IntMatrix, b, moduli):
     return None
 
 
-@given(st.integers(1, 2), st.integers(1, 2), st.data())
-@settings(max_examples=60, deadline=None)
-def test_modular_vs_exhaustive(m, n, data):
-    moduli = data.draw(st.lists(st.integers(1, 8), min_size=m, max_size=m))
-    entries = data.draw(st.lists(st.integers(-5, 9), min_size=m * n, max_size=m * n))
-    b = data.draw(st.lists(st.integers(0, 8), min_size=m, max_size=m))
-    a = IntMatrix(m, n, tuple(entries))
+@st.composite
+def modular_systems(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 2))
+    top = 8 if m < 3 else 6  # keeps the brute-force box lcm(moduli)^n small
+    moduli = draw(st.lists(st.integers(1, top), min_size=m, max_size=m))
+    entries = draw(st.lists(st.integers(-5, 9), min_size=m * n, max_size=m * n))
+    b = draw(st.lists(st.integers(0, 8), min_size=m, max_size=m))
+    return IntMatrix(m, n, tuple(entries)), b, moduli
+
+
+@given(modular_systems())
+@example((IntMatrix(2, 0, ()), [3, 0], [3, 4]))
+@example((IntMatrix(2, 0, ()), [3, 2], [3, 4]))
+@settings(max_examples=80, deadline=None)
+def test_modular_vs_exhaustive(system):
+    a, b, moduli = system
+    m, n = a.rows, a.cols
     got = solve_modular(a, b, moduli)
     want = brute_modular(a, b, moduli)
+    if n == 0:  # no unknowns: solvable iff b == 0 modulo every row's modulus
+        assert (want is None) == any(bi % s for bi, s in zip(b, moduli))
     if want is None:
         assert got is None
     else:
-        assert got is not None
+        assert got is not None and len(got) == n
         for i in range(m):
             lhs = sum(a.at(i, j) * got[j] for j in range(n)) % moduli[i]
             assert lhs == b[i] % moduli[i]
+        for j in range(n):
+            eff = lcm(1, *(s // gcd(s, a.at(i, j)) for i, s in enumerate(moduli)))
+            assert 0 <= got[j] < eff
+
+
+def test_preimage_reads_the_stacked_form():
+    # images 4 and 6 in Z_12: the image lattice plus 12Z is 2Z
+    stacked = stacked_lattice([(4,), (6,)], LatticeBuilder(1, seed_moduli=[12]))
+    z = preimage(stacked, 1, (10,))
+    assert z is not None and (4 * z[0] + 6 * z[1] - 10) % 12 == 0
+    assert preimage(stacked, 1, (3,)) is None
+    assert preimage(stacked, 1, (0,)) == (0, 0)
 
 
 def test_lattice_builder_reduce_canonical():

@@ -20,14 +20,22 @@ def test_module_all_names_exist(name):
 
 
 def test_smith_normal_form_called_only_in_intlinalg():
-    # invariant factors have one routine (intlinalg.invariant_factors); no
-    # other module runs its own Smith-form loop
+    # invariant factors have one routine (intlinalg.invariant_factors), and
+    # it is the Smith form's only caller: particular solutions come off the
+    # stacked Hermite form (intlinalg.preimage)
     callers = []
     for path in sorted(Path(ringbox.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {
+            child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 fn = node.func
                 name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
                 if name == "smith_normal_form":
-                    callers.append(path.name)
-    assert callers and set(callers) == {"intlinalg.py"}
+                    outer = node
+                    while not isinstance(outer, (ast.FunctionDef, ast.Module)):
+                        outer = parents[outer]
+                    callers.append((path.name, getattr(outer, "name", None)))
+    assert callers == [("intlinalg.py", "invariant_factors")]

@@ -427,3 +427,38 @@ def test_solve_linear_sound_and_complete_random():
             assert got in sols
         else:
             assert got is None
+
+
+def test_solve_linear_sound_and_complete_on_a_matrix_ring():
+    # M_2(Z_4): a noncommutative ring where a*x = b has many solutions, so
+    # the answer depends on which particular solution the solver reads off
+    rng = random.Random(44)
+    r = make_ring(MatrixSpec(2, ModularSpec(4)), 6)
+    p = provider()
+    rep = ops.ring_representation(r, p)
+    elems = sorted(verify.ring_elements(r), key=lambda c: c.bits)
+    solvable = 0
+    for t in range(30):
+        a = rng.choice(elems)
+        # half the right-hand sides are products a*x, so half are solvable
+        b = r.verification.mul(a, rng.choice(elems)) if t % 2 else rng.choice(elems)
+        sols = verify.solve_linear_set(r, a, b, elems)
+        got = ops.solve_linear(r, a, b, p, rep)
+        if sols:
+            assert got in sols
+            solvable += 1
+        else:
+            assert got is None
+    assert solvable >= 15
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        MatrixSpec(3, ModularSpec(2)),
+        PolyQuotSpec(2, (1, 1, 0, 1) + (0,) * 12 + (1,)),  # x^16 + x^3 + x + 1
+    ],
+)
+def test_multiplicative_identity_decodes_to_one(spec):
+    r = make_ring(spec, 5)
+    assert r._decode(ops.multiplicative_identity(r, provider())) == spec.one()
