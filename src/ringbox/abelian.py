@@ -99,7 +99,15 @@ def decompose_group(
     Smith reduction of the relation lattice gives the change of basis; unit
     factors are dropped and the surviving orders ascend, each dividing the
     next.
+
+    The result is memoized in ``provider.groups`` under (ring key, gens): a
+    repeat call returns the stored basis and makes no oracle query, order
+    finding, hidden-subgroup solve or random draw.
     """
+    key = (ring._key, tuple(gens))
+    done = provider.groups.get(key)
+    if done is not None:
+        return done
     pres = present_group(ring, gens, provider)
     k = len(pres.generators)
     orders, to_orig, from_orig = invariant_factors(pres.relation_lattice, k)
@@ -109,7 +117,8 @@ def decompose_group(
         tuple(c % o for c, o in zip(coeffs, pres.orders)) for coeffs in to_orig
     )
     h = tuple(combine_codes(ring.metered, pres.generators, c) for c in to_orig)
-    return InvariantFactorBasis(h, orders, to_orig, from_orig)
+    done = provider.groups[key] = InvariantFactorBasis(h, orders, to_orig, from_orig)
+    return done
 
 
 def _basis_descriptor(ring: RingOracle, basis: InvariantFactorBasis) -> SubgroupDescriptor:
@@ -166,6 +175,7 @@ def _decompose_via_hidden_cycle(ring, x, basis, s, provider):
         moduli=basis.s + (s,),
         combo_generators=basis.h + (x,),
         name="element-decomposition",
+        over_basis=True,
     )
     hidden = provider.solve_ahsp(hiding)
     # combine lattice generators into one with last coordinate 1 (mod s)

@@ -294,8 +294,14 @@ def multiplication_tensor(
 
     One oracle multiplication plus one decomposition per (i, j) pair; a
     product falling outside the span means the basis is not multiplicatively
-    closed.
+    closed.  The tensor is memoized in ``provider.tensors`` under (ring key,
+    basis): a repeat call returns it and makes no oracle query, decision or
+    random draw.
     """
+    key = (ring._key, basis.h, basis.s)
+    done = provider.tensors.get(key)
+    if done is not None:
+        return done
     l = len(basis.h)
     tensor = []
     for i in range(l):
@@ -311,7 +317,8 @@ def multiplication_tensor(
                 ) from exc
             row.append(coords)
         tensor.append(tuple(row))
-    return tuple(tensor)
+    done = provider.tensors[key] = tuple(tensor)
+    return done
 
 
 def representation_from_additive(

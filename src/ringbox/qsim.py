@@ -8,7 +8,9 @@ subgroup A spanned by generators g_j is the lattice L_A spanned by
 coords(g_j) and the moduli m_i e_i, so |A| = prod(m_i) / det(L_A) and
 |A∩B| = |A||B| / |A+B|; two cosets meet exactly when the difference of their
 offsets lies in L_A + L_B.  Hidden subgroups are kernels of additive maps,
-read off one Hermite form, then spot-checked against the map: through the
+read off one Hermite form (an element decomposition's map, over an
+independent basis plus one element x, off the basis span's memoized form:
+one preimage of x), then spot-checked against the map: through the
 images of the generators when the map is additive by construction (the
 ring's coordinates, and the intersection, colon and annihilator labels of
 ``ringops``), through oracle evaluations otherwise (the hom kernel's map and
@@ -139,6 +141,13 @@ class HidingFunction:
     through coordinates; any other ``post`` (the hom kernel's caller-supplied
     map included) is spot-checked by evaluating the map on oracle elements,
     which is what catches a ``post`` that is not additive.
+
+    ``over_basis`` marks a map with the default ``post`` whose combo
+    generators are an independent basis h_1..h_l, of orders moduli[:l],
+    followed by one element x (``abelian``'s element decomposition).  Its
+    kernel is the moduli plus (-n(x), 1), n(x) the coordinates of x on the
+    basis span, so the ground truth reads it off that span's memoized
+    stacked form instead of building one over all l + 1 generators.
     """
 
     ring: RingOracle
@@ -148,10 +157,13 @@ class HidingFunction:
     target: LatticeBuilder | None = None
     name: str = ""
     additive: bool = False
+    over_basis: bool = False
 
     def __post_init__(self):
         if (self.post is None) != (self.target is None):
             raise PreconditionError("a hiding map needs both post and target")
+        if self.over_basis and self.post is not None:
+            raise PreconditionError("a hiding map over a basis takes the default post")
         if self.post is None:
             object.__setattr__(self, "post", self.ring._coords)
             object.__setattr__(self, "target", _moduli_lattice(self.ring))
@@ -204,12 +216,16 @@ class _Span:
         self.order = ring._ring_size() // self.lattice.determinant()
         self._stacked = None
 
+    def combination(self, ring: RingOracle, code: ElementCode):
+        """Some n with code = sum_j n_j g_j, or None outside the span."""
+        if self._stacked is None:
+            self._stacked = stacked_lattice(self._images, _moduli_lattice(ring))
+        return preimage(self._stacked, self.dim, ring._coords(code))
+
     def coordinates(self, ring: RingOracle, code: ElementCode, orders):
         """n with code = sum_j n_j g_j and 0 <= n_j < orders[j], for
         independent generators of the given orders."""
-        if self._stacked is None:
-            self._stacked = stacked_lattice(self._images, _moduli_lattice(ring))
-        n = preimage(self._stacked, self.dim, ring._coords(code))
+        n = self.combination(ring, code)
         if n is None:
             raise MembershipError("element lies outside the ambient basis span")
         return tuple(v % s for v, s in zip(n, orders))
@@ -256,11 +272,14 @@ class PrimitiveProvider:
         self.config = config
         self.rng = Random(fork_seed(config.seed, "provider"))
         self.stats = {"decisions": 0, "characters": 0, "orders": 0, "samples": 0}
-        # session memos, keyed per ring: spans of generator tuples,
-        # element decompositions, and ideal accumulations (idealcore)
+        # session memos, keyed per ring: spans of generator tuples, group
+        # and element decompositions (abelian), and ideal accumulations and
+        # multiplication tensors (idealcore)
         self._spans: dict = {}
+        self.groups: dict = {}
         self.decomp_memo: dict = {}
         self.accumulations: dict = {}
+        self.tensors: dict = {}
 
     def fork(self, label: str) -> "PrimitiveProvider":
         cfg = ProviderConfig(
@@ -385,14 +404,22 @@ class PrimitiveProvider:
 
     def _hidden_subgroup_exact(self, hiding: HidingFunction) -> LatticeBuilder:
         """The hidden subgroup's lattice over Z^l (relations and s_j e_j):
-        the kernel of z -> sum_j z_j post(g_j) modulo the target."""
+        the kernel of z -> sum_j z_j post(g_j) modulo the target.  A map
+        over a basis reads it off the basis span when x lies in the span;
+        the canonical Hermite form is the one the stacked route gives."""
         images = [hiding.post(g) for g in hiding.combo_generators]
-        dim = hiding.target.dim
-        stacked = stacked_lattice(images, hiding.target)
         lattice = LatticeBuilder(len(hiding.moduli), seed_moduli=hiding.moduli)
-        for col in stacked.basis_columns():
-            if not any(col[:dim]):
-                lattice.add(col[dim:])
+        n = None
+        if hiding.over_basis:
+            span = self._span(hiding.ring, hiding.combo_generators[:-1])
+            n = span.combination(hiding.ring, hiding.combo_generators[-1])
+        if n is not None:
+            lattice.add(tuple(-v for v in n) + (1,))
+        else:
+            dim = hiding.target.dim
+            for col in stacked_lattice(images, hiding.target).basis_columns():
+                if not any(col[:dim]):
+                    lattice.add(col[dim:])
         self._spot_check(hiding, lattice, images)
         return lattice
 

@@ -11,6 +11,7 @@ from ringbox.abelian import (
     present_group,
 )
 from ringbox.blackbox import (
+    MatrixSpec,
     ModularSpec,
     PolyQuotSpec,
     ProductSpec,
@@ -218,3 +219,34 @@ def test_decompose_group_orders_match_pure_lattice_route():
             gens = tuple(rng.choice(elems) for _ in range(rng.randint(1, 3)))
             _, orders = subgroup_of_torus([r._coords(g) for g in gens], spec._moduli)
             assert decompose_group(r, gens, p).s == orders
+
+
+BACKENDS = ("exact", "sampled")
+
+
+def warm_state(ring, p):
+    return ring.ledger.snapshot(), dict(p.stats), p.rng.getstate()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_decompose_group_memo_hit_makes_no_query_or_draw(backend):
+    spec = MatrixSpec(2, ModularSpec(2))
+    r = make_ring(spec, 3)
+    p = provider(backend)
+    e11, e12 = (parse_element_literal(r, lit) for lit in ("1,0;0,0", "0,1;0,0"))
+    first = decompose_group(r, (e11, e12), p)
+    before = warm_state(r, p)
+    # the key is the generator tuple, whatever sequence carries it
+    assert decompose_group(r, [e11, e12], p) is first
+    assert warm_state(r, p) == before
+    assert len(p.groups) == 1
+    # the same codes under another seed of the same spec: a new entry
+    other = next(
+        ring
+        for ring in (make_ring(spec, seed) for seed in range(4, 1000))
+        if {e11, e12} <= ring_elements(ring)
+    )
+    assert decompose_group(other, (e11, e12), p) is not first
+    assert len(p.groups) == 2
+    assert decompose_group(r, (e12, e11), p) is not first
+    assert len(p.groups) == 3

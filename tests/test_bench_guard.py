@@ -12,7 +12,7 @@ from ringbox.qsim import PrimitiveProvider, ProviderConfig
 
 TRACER = Path(__file__).resolve().parent.parent / "ringbench" / "tracer.py"
 LAYERS = ("blackbox", "intlinalg", "qsim", "abelian", "idealcore", "ringops", "verify", "cli")
-CACHES = ("_spans", "decomp_memo", "accumulations")
+CACHES = ("_spans", "groups", "decomp_memo", "accumulations", "tensors")
 
 
 def load_tracer():

@@ -190,6 +190,19 @@ def test_ring_order_of_a_polyquot_over_a_61_bit_prime(ring_file, capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_ring_order_of_a_rank_9_matrix_ring(ring_file, capsys):
+    # M_3(Z_256): element decompositions read off the basis span keep the
+    # rank-9 tensor cheap
+    path = ring_file(
+        "m3z256.ring", "ring.kind = matrix\nring.k = 3\nring.base = modular 256\n"
+    )
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, ["ring-order", "--ring", path, "--json"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["order"] == 256**9
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_witness(ring_file, capsys):
     path = ring_file("z12.ring", Z12)
     code, out, _ = invoke(

@@ -292,6 +292,22 @@ def test_accumulation_memo_hit_makes_no_query_decision_or_draw(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_tensor_memo_hit_makes_no_query_or_draw(backend):
+    spec = MatrixSpec(2, ModularSpec(2))
+    r = make_ring(spec, 3)
+    p = provider(backend)
+    rep = ops.ring_representation(r, p)
+    before = (r.ledger.snapshot(), dict(p.stats), p.rng.getstate())
+    assert multiplication_tensor(r, rep.basis, p) is rep.tensor
+    assert (r.ledger.snapshot(), dict(p.stats), p.rng.getstate()) == before
+    held = len(p.tensors)
+    other = make_ring(spec, 4)
+    tensor = multiplication_tensor(other, ops.ring_representation(other, p).basis, p)
+    assert tensor is not rep.tensor
+    assert len(p.tensors) == held + 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_accumulation_memo_misses(backend):
     spec = MatrixSpec(2, ModularSpec(2))
     r = make_ring(spec, 3)

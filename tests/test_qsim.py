@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringbox import ringops as ops
 from ringbox.abelian import _decompose_via_hidden_cycle, decompose_group
@@ -25,6 +25,7 @@ from ringbox.qsim import (
     _annihilator,
 )
 from test_acceptance import DESK_SUITE
+from test_ground_truth import small_specs
 
 
 def ring_z12(seed=7):
@@ -241,6 +242,29 @@ def oracle_twin(hiding):
     )
 
 
+def stacked_twin(hiding):
+    """The same map with the default post but no basis marker: its kernel
+    comes from the Hermite form stacked over all combo generators."""
+    return HidingFunction(
+        ring=hiding.ring,
+        moduli=hiding.moduli,
+        combo_generators=hiding.combo_generators,
+        name=hiding.name,
+    )
+
+
+def assert_span_route_matches_stacked(hiding, seed=6):
+    """The marked map read off the basis span gives the stacked route's
+    lattice, and its spot check draws the same numbers."""
+    assert hiding.over_basis
+    by_span = provider(seed=seed, epsilon=1e-9)
+    by_stack = provider(seed=seed, epsilon=1e-9)
+    assert by_span.solve_ahsp(hiding) == by_stack.solve_ahsp(stacked_twin(hiding))
+    assert by_span.rng.getstate() == by_stack.rng.getstate()
+    basis_key = (hiding.ring._key, hiding.combo_generators[:-1])
+    assert basis_key in by_span._spans and basis_key not in by_stack._spans
+
+
 def test_coordinate_spot_check_matches_oracle_path_on_desk_rings():
     names = set()
     for _, spec in DESK_SUITE:
@@ -253,6 +277,9 @@ def test_coordinate_spot_check_matches_oracle_path_on_desk_rings():
             by_oracle = provider(seed=6, epsilon=1e-9)
             assert by_coords.solve_ahsp(hiding) == by_oracle.solve_ahsp(twin)
             assert by_coords.rng.getstate() == by_oracle.rng.getstate()
+            assert hiding.over_basis == (hiding.name == "element-decomposition")
+            if hiding.over_basis:
+                assert_span_route_matches_stacked(hiding)
     assert names == {
         "relation-lattice",
         "element-decomposition",
@@ -260,6 +287,57 @@ def test_coordinate_spot_check_matches_oracle_path_on_desk_rings():
         "colon",
         "annihilator",
     }
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_span_route_matches_stacked_route_on_small_rings(spec, seed):
+    ring = make_ring(spec, seed)
+    p = provider(seed=seed)
+    basis = decompose_group(ring, ring.generators, p)
+    span = SubgroupDescriptor(ring, basis.h, basis=basis)
+    for _ in range(3):
+        x, _ = p.sample_uniform(span)
+        hiding = HidingFunction(
+            ring=ring,
+            moduli=basis.s + (ring._additive_order(x),),
+            combo_generators=basis.h + (x,),
+            over_basis=True,
+        )
+        assert_span_route_matches_stacked(hiding, seed=seed)
+
+
+def test_span_route_falls_back_outside_the_span():
+    r = ring_z12()
+    four, one = codes(r, 4, 1)  # <4> has order 3 and misses 1
+    hiding = HidingFunction(
+        ring=r, moduli=(3, 12), combo_generators=(four, one), over_basis=True
+    )
+    sub = provider().solve_ahsp(hiding)
+    assert sub == provider().solve_ahsp(stacked_twin(hiding))
+    # the kernel of z -> 4 z_1 + z_2: (1, -4) and 12 e_2 span it, not (-n, 1)
+    assert sub.order == 3
+    assert sub.contains((1, 8)) and not sub.contains((1, 0))
+
+
+def test_basis_marker_needs_the_default_post():
+    r = ring_z12()
+    four, two = codes(r, 4, 2)
+    with pytest.raises(PreconditionError):
+        HidingFunction(
+            ring=r,
+            moduli=(3, 6),
+            combo_generators=(four, two),
+            post=r._coords,
+            target=LatticeBuilder(1, seed_moduli=(12,)),
+            over_basis=True,
+        )
 
 
 def test_hom_kernel_map_keeps_the_oracle_path():
