@@ -313,21 +313,32 @@ class LatticeBuilder:
 
     Vectors are accumulated one at a time; ``basis_columns`` returns the
     canonical echelon basis (positive pivots, cross entries reduced into
-    [0, pivot)).  Seeding with moduli inserts s_j * e_j so the lattice always
-    contains the ambient torus relations.
+    [0, pivot)) and keeps it until an ``add`` changes a pivot.  Seeding with
+    moduli stores s_j * e_j as pivots, so the lattice always contains the
+    ambient torus relations.  Pivot lists are replaced, never edited in
+    place, so ``copy`` shares them.
     """
 
     def __init__(self, dim: int, seed_moduli=None):
         self.dim = dim
         self._pivots: dict[int, list[int]] = {}
+        self._columns: tuple[tuple[int, ...], ...] | None = None
         if seed_moduli is not None:
-            if len(tuple(seed_moduli)) != dim:
+            seed_moduli = tuple(seed_moduli)
+            if len(seed_moduli) != dim:
                 raise DimensionError("seed moduli length != dim")
             for j, s in enumerate(seed_moduli):
                 if s:
                     vec = [0] * dim
                     vec[j] = abs(s)
-                    self.add(vec)
+                    self._pivots[j] = vec
+
+    def copy(self) -> "LatticeBuilder":
+        """An independent builder over the same lattice."""
+        twin = LatticeBuilder(self.dim)
+        twin._pivots = dict(self._pivots)
+        twin._columns = self._columns
+        return twin
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if the lattice grew."""
@@ -343,6 +354,7 @@ class LatticeBuilder:
                 if v[r] < 0:
                     v = [-t for t in v]
                 self._pivots[r] = v
+                self._columns = None
                 return True
             pr, vr = piv[r], v[r]
             if vr % pr == 0:
@@ -353,6 +365,7 @@ class LatticeBuilder:
                 new_piv = [x * p + y * t for p, t in zip(piv, v)]
                 v = [(pr // g) * t - (vr // g) * p for t, p in zip(v, piv)]
                 self._pivots[r] = new_piv
+                self._columns = None
                 changed = True
         return changed
 
@@ -373,8 +386,10 @@ class LatticeBuilder:
                         self._pivots[r2] = [a - q * b for a, b in zip(other, piv)]
 
     def basis_columns(self) -> tuple[tuple[int, ...], ...]:
-        self._canonicalize()
-        return tuple(tuple(self._pivots[r]) for r in self.pivot_rows())
+        if self._columns is None:
+            self._canonicalize()
+            self._columns = tuple(tuple(self._pivots[r]) for r in self.pivot_rows())
+        return self._columns
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Canonical residue of vec modulo the lattice (needs full rank for

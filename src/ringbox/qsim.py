@@ -7,11 +7,14 @@ construction, so no answer walks a subgroup element by element.  The
 subgroup A spanned by generators g_j is the lattice L_A spanned by
 coords(g_j) and the moduli m_i e_i, so |A| = prod(m_i) / det(L_A) and
 |A∩B| = |A||B| / |A+B|; two cosets meet exactly when the difference of their
-offsets lies in L_A + L_B.  Hidden subgroups are kernels of additive maps,
-read off one Hermite form (an element decomposition's map, over an
-independent basis plus one element x, off the basis span's memoized form:
-one preimage of x), then spot-checked against the map: through the
-images of the generators when the map is additive by construction (the
+offsets lies in L_A + L_B.  Spans are memoized per provider, and a new
+generator tuple extends the span of its longest memoized prefix; when one
+tuple is a prefix of the other, L_A + L_B is the longer span's lattice.
+Hidden subgroups are kernels of additive maps, read off one Hermite form
+(an element decomposition's map, over an independent basis plus one
+element x, off the basis span's memoized form: one preimage of x, with the
+basis images the span stores), then spot-checked against the map: through
+the images of the generators when the map is additive by construction (the
 ring's coordinates, and the intersection, colon and annihilator labels of
 ``ringops``), through oracle evaluations otherwise (the hom kernel's map and
 any other caller-supplied ``post``).  The *sampled* backend consults the
@@ -200,32 +203,39 @@ def _annihilator(vectors, moduli) -> tuple[tuple[int, ...], ...]:
 
 class _Span:
     """Subgroup of (R,+) spanned by a generator tuple, in the spec's
-    additive coordinates: the lattice L of coords(g_j) over the moduli,
-    built directly, and its order.  The stacked Hermite form of the
-    coords(g_j) over the moduli (its heads span L, its tails track the
-    combination) is built on the first ``coordinates`` call; overlaps read
-    only L."""
+    additive coordinates: the lattice L of coords(g_j) over the moduli, and
+    its order.  A span extends ``parent``, the span of a prefix of its
+    generators (the moduli lattice alone when None): it copies the parent's
+    lattice and images and adds only the coordinates of the generators past
+    the prefix.  The stacked Hermite form of the coords(g_j) over the
+    moduli (its heads span L, its tails track the combination) is built on
+    the first ``combination`` call; overlaps read only L."""
 
-    def __init__(self, ring: RingOracle, gens):
+    def __init__(self, ring: RingOracle, gens, parent: "_Span | None" = None):
         self.dim = len(ring.spec._moduli)
-        self._images = [ring._coords(g) for g in gens]
-        self.lattice = _moduli_lattice(ring)
-        for image in self._images:
+        if parent is None:
+            self._images, self.lattice = [], _moduli_lattice(ring)
+        else:
+            self._images, self.lattice = list(parent._images), parent.lattice.copy()
+        for g in gens[len(self._images):]:
+            image = ring._coords(g)
+            self._images.append(image)
             self.lattice.add(image)
         self.columns = self.lattice.basis_columns()
         self.order = ring._ring_size() // self.lattice.determinant()
         self._stacked = None
 
-    def combination(self, ring: RingOracle, code: ElementCode):
-        """Some n with code = sum_j n_j g_j, or None outside the span."""
+    def combination(self, ring: RingOracle, image):
+        """Some n with sum_j n_j coords(g_j) = image modulo the moduli, or
+        None when the element of those coordinates lies outside the span."""
         if self._stacked is None:
             self._stacked = stacked_lattice(self._images, _moduli_lattice(ring))
-        return preimage(self._stacked, self.dim, ring._coords(code))
+        return preimage(self._stacked, self.dim, image)
 
     def coordinates(self, ring: RingOracle, code: ElementCode, orders):
         """n with code = sum_j n_j g_j and 0 <= n_j < orders[j], for
         independent generators of the given orders."""
-        n = self.combination(ring, code)
+        n = self.combination(ring, ring._coords(code))
         if n is None:
             raise MembershipError("element lies outside the ambient basis span")
         return tuple(v % s for v, s in zip(n, orders))
@@ -302,19 +312,32 @@ class PrimitiveProvider:
     # ---- lattice algebra over descriptors (ground truth) ----
 
     def _span(self, ring: RingOracle, gens) -> _Span:
+        """The memoized span of a generator tuple.  A new span extends the
+        span of its longest memoized prefix; the empty tuple's span, the
+        moduli lattice alone, is the root."""
         key = (ring._key, gens)
         span = self._spans.get(key)
         if span is None:
-            span = self._spans[key] = _Span(ring, gens)
+            parent = self._span(ring, ()) if gens else None
+            for cut in range(len(gens) - 1, 0, -1):
+                prefix = self._spans.get((ring._key, gens[:cut]))
+                if prefix is not None:
+                    parent = prefix
+                    break
+            span = self._spans[key] = _Span(ring, gens, parent)
         return span
 
     def _exact_overlap(self, a: SubgroupDescriptor, b: SubgroupDescriptor) -> Fraction:
         if a.ring is not b.ring:
             raise PreconditionError("descriptors live in different rings")
         ring = a.ring
-        sa = self._span(ring, a.generators)
-        sb = self._span(ring, b.generators)
-        if sa is sb:
+        ga, gb = a.generators, b.generators
+        sa = self._span(ring, ga)
+        sb = self._span(ring, gb)
+        # nested generator tuples: L_A + L_B is the longer span's lattice
+        if gb[: len(ga)] == ga:
+            total = sb.lattice
+        elif ga[: len(gb)] == gb:
             total = sa.lattice
         else:
             total = LatticeBuilder(sa.dim)
@@ -405,14 +428,19 @@ class PrimitiveProvider:
     def _hidden_subgroup_exact(self, hiding: HidingFunction) -> LatticeBuilder:
         """The hidden subgroup's lattice over Z^l (relations and s_j e_j):
         the kernel of z -> sum_j z_j post(g_j) modulo the target.  A map
-        over a basis reads it off the basis span when x lies in the span;
-        the canonical Hermite form is the one the stacked route gives."""
-        images = [hiding.post(g) for g in hiding.combo_generators]
+        over a basis reads it, and the basis images, off the basis span when
+        x lies in the span; the canonical Hermite form is the one the
+        stacked route gives."""
+        gens = hiding.combo_generators
         lattice = LatticeBuilder(len(hiding.moduli), seed_moduli=hiding.moduli)
         n = None
         if hiding.over_basis:
-            span = self._span(hiding.ring, hiding.combo_generators[:-1])
-            n = span.combination(hiding.ring, hiding.combo_generators[-1])
+            span = self._span(hiding.ring, gens[:-1])
+            image = hiding.ring._coords(gens[-1])
+            images = span._images + [image]
+            n = span.combination(hiding.ring, image)
+        else:
+            images = [hiding.post(g) for g in gens]
         if n is not None:
             lattice.add(tuple(-v for v in n) + (1,))
         else:

@@ -2,7 +2,8 @@
 coordinates of a ring description) against brute-force enumeration through
 ``ringbox.verify``: element codes, subgroup orders, coset overlaps and the
 exact hidden subgroup of every hiding-map kind, the direct span lattice
-against the stacked Hermite form, and the field test behind ``prime``, on
+against the stacked Hermite form and against a span extended from a
+memoized prefix, and the field test behind ``prime``, on
 the ten desk rings, on explicit rings and on random nested descriptions; and
 ``verify.ideal_closure`` itself against a naive fixpoint."""
 
@@ -402,6 +403,51 @@ def test_span_matches_stacked_form_on_desk_rings():
 @given(small_specs(), st.integers(0, 1 << 20))
 def test_span_matches_stacked_form_on_nested_specs(spec, seed):
     check_span_against_stacked(spec, seed)
+
+
+def check_span_extension(spec, seed):
+    """A span the provider extends from a memoized prefix equals one built
+    from the moduli alone, and overlaps of nested tuples (both ways round)
+    and of unrelated ones agree with enumeration."""
+    ring = make_ring(spec, seed)
+    rng = random.Random(seed)
+    elems = sorted_elements(ring)
+    p = exact(seed)
+    for _ in range(3):
+        gens = tuple(rng.choice(elems) for _ in range(rng.randint(2, 4)))
+        cut = rng.randint(0, len(gens) - 1)
+        p._span(ring, gens[:cut])
+        ext, fresh = p._span(ring, gens), _Span(ring, gens)
+        assert ext.columns == fresh.columns
+        assert ext.order == fresh.order
+        assert ext._images == fresh._images
+        for code in elems:
+            image = ring._coords(code)
+            assert ext.combination(ring, image) == fresh.combination(ring, image)
+        short = gens[: max(cut, 1)]
+        other = tuple(rng.choice(elems) for _ in range(rng.randint(1, 2)))
+        for ga, gb in ((short, gens), (gens, short), (gens, other)):
+            a = SubgroupDescriptor(ring, ga, offset=rng.choice(elems))
+            b = SubgroupDescriptor(ring, gb, offset=rng.choice(elems))
+            assert p._exact_overlap(a, b) == brute_overlap(ring, a, b)
+
+
+def test_span_extension_on_desk_rings():
+    for i, (_, spec) in enumerate(DESK_SUITE):
+        check_span_extension(spec, 80 + i)
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(MATRIX_OVER_PRODUCT, 8)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_span_extension_on_nested_specs(spec, seed):
+    check_span_extension(spec, seed)
 
 
 # -- the field test behind `prime` --------------------------------------------

@@ -5,7 +5,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ringbox.errors import PreconditionError
+from ringbox.errors import DimensionError, PreconditionError
 from ringbox.intlinalg import (
     MILLER_RABIN_BOUND,
     IntMatrix,
@@ -164,6 +164,106 @@ def test_lattice_determinant_counts_cosets():
     # residues should enumerate exactly det-many distinct values
     seen = {lat.reduce([a, b]) for a in range(6) for b in range(4)}
     assert len(seen) == lat.determinant()
+
+
+def test_seed_moduli_may_be_an_iterator():
+    lat = LatticeBuilder(2, seed_moduli=(m for m in (2, 3)))
+    assert lat.basis_columns() == ((2, 0), (0, 3))
+    assert lat.determinant() == 6
+    with pytest.raises(DimensionError):
+        LatticeBuilder(3, seed_moduli=(m for m in (2, 3)))
+
+
+def rebuilt(dim, moduli, vectors) -> LatticeBuilder:
+    lat = LatticeBuilder(dim, seed_moduli=moduli)
+    for v in vectors:
+        lat.add(v)
+    return lat
+
+
+def full_rank(lat: LatticeBuilder) -> bool:
+    return len(lat.pivot_rows()) == lat.dim
+
+
+LATTICE_DIM = 3
+LATTICE_VECTORS = st.lists(
+    st.integers(-30, 30), min_size=LATTICE_DIM, max_size=LATTICE_DIM
+)
+LATTICE_MODULI = st.lists(
+    st.integers(-12, 12), min_size=LATTICE_DIM, max_size=LATTICE_DIM
+)
+LATTICE_QUERIES = ("basis_columns", "reduce", "contains", "determinant")
+
+
+@given(
+    LATTICE_MODULI,
+    st.lists(
+        st.tuples(st.sampled_from(("add",) + LATTICE_QUERIES), LATTICE_VECTORS),
+        max_size=14,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_cached_columns_match_a_rebuilt_builder(moduli, steps):
+    """Any interleaving of adds and queries answers as a builder that took
+    the same vectors without queries in between."""
+    lat = LatticeBuilder(LATTICE_DIM, seed_moduli=moduli)
+    added = []
+    for name, vec in steps:
+        if name == "add":
+            lat.add(vec)
+            added.append(vec)
+            continue
+        fresh = rebuilt(LATTICE_DIM, moduli, added)
+        if name == "basis_columns":
+            assert lat.basis_columns() == fresh.basis_columns()
+        elif name == "contains":
+            assert lat.contains(vec) == fresh.contains(vec)
+        elif name == "reduce" and full_rank(fresh):
+            assert lat.reduce(vec) == fresh.reduce(vec)
+        elif name == "reduce":  # residues short of full rank depend on the basis
+            assert (not any(lat.reduce(vec))) == fresh.contains(vec)
+        elif full_rank(fresh):
+            assert lat.determinant() == fresh.determinant()
+        else:
+            with pytest.raises(ValueError):
+                lat.determinant()
+    assert lat.basis_columns() == rebuilt(LATTICE_DIM, moduli, added).basis_columns()
+
+
+@given(
+    LATTICE_MODULI,
+    st.lists(LATTICE_VECTORS, max_size=4),
+    st.lists(LATTICE_VECTORS, min_size=1, max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_adding_to_a_copy_leaves_the_original(moduli, first, more, canonical):
+    lat = rebuilt(LATTICE_DIM, moduli, first)
+    if canonical:
+        lat.basis_columns()
+    twin = lat.copy()
+    for v in more:
+        twin.add(v)
+    assert lat.basis_columns() == rebuilt(LATTICE_DIM, moduli, first).basis_columns()
+    assert (
+        twin.basis_columns()
+        == rebuilt(LATTICE_DIM, moduli, first + more).basis_columns()
+    )
+
+
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=4), LATTICE_VECTORS)
+@settings(max_examples=100, deadline=None)
+def test_direct_seeding_equals_added_seeding(moduli, vec):
+    k = len(moduli)
+    seeded = LatticeBuilder(k, seed_moduli=moduli)
+    added = LatticeBuilder(k)
+    for j, s in enumerate(moduli):
+        added.add([s if i == j else 0 for i in range(k)])
+    assert seeded.pivot_rows() == added.pivot_rows()
+    assert seeded.basis_columns() == added.basis_columns()
+    vec = (vec * k)[:k]
+    assert seeded.add(vec) == added.add(vec)
+    assert seeded.basis_columns() == added.basis_columns()
 
 
 def test_lattice_kernel_mod_simple():

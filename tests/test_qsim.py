@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringbox import ringops as ops
+from ringbox import verify
 from ringbox.abelian import _decompose_via_hidden_cycle, decompose_group
 from ringbox.blackbox import (
     MatrixSpec,
@@ -23,6 +24,7 @@ from ringbox.qsim import (
     ProviderConfig,
     SubgroupDescriptor,
     _annihilator,
+    _Span,
 )
 from test_acceptance import DESK_SUITE
 from test_ground_truth import small_specs
@@ -338,6 +340,57 @@ def test_basis_marker_needs_the_default_post():
             target=LatticeBuilder(1, seed_moduli=(12,)),
             over_basis=True,
         )
+
+
+class FreshSpans(PrimitiveProvider):
+    """Exact provider without span reuse: every span is built from the
+    moduli alone and every overlap is counted by enumeration."""
+
+    def _span(self, ring, gens):
+        return _Span(ring, gens)
+
+    def _exact_overlap(self, a, b):
+        ring, zero = a.ring, a.ring._zero_code()
+
+        def coset(d):
+            span = verify.additive_span(ring, d.generators + (zero,))
+            offset = zero if d.offset is None else d.offset
+            return span, {ring.verification.add(offset, x) for x in span}
+
+        (sa, ca), (sb, cb) = coset(a), coset(b)
+        return Fraction(len(ca & cb), max(len(sa), len(sb)))
+
+
+def desk_op_mix(ring, p):
+    """A derived-op mix on one ring; yields each op's answer in turn."""
+    rep = ops.ring_representation(ring, p)
+    yield rep.basis.h, rep.basis.s
+    span = SubgroupDescriptor(ring, rep.basis.h, basis=rep.basis)
+    a, b = (p.sample_uniform(span)[0] for _ in range(2))
+    yield a, b
+    ia, ib = IdealSpec("left", (a,)), IdealSpec("two", (b,))
+    yield ops.ideal_contains(ring, ia, b, p)
+    yield ops.ideal_equal(ring, ia, ib, p)
+    meet = ops.ideal_intersection(ring, ia, ib, p, rep)
+    yield meet.basis.h, meet.basis.s
+    yield ops.colon_ideal(ring, ia, ib, p, rep)
+    yield ops.annihilator(ring, (a,), "left", p, rep)
+    yield ops.is_unit(ring, a, p, rep)
+    yield ops.ring_order(ring, p, rep)
+
+
+def test_span_reuse_keeps_answers_counts_and_streams():
+    """Extended spans and nested overlaps change no answer, metered count
+    or random draw against spans built afresh and overlaps by enumeration."""
+    for i, (_, spec) in enumerate(DESK_SUITE):
+        ring, twin = make_ring(spec, 20 + i), make_ring(spec, 20 + i)
+        config = ProviderConfig(seed=i, epsilon=1e-9)
+        p, ref = PrimitiveProvider(config), FreshSpans(config)
+        for got, want in zip(desk_op_mix(ring, p), desk_op_mix(twin, ref), strict=True):
+            assert got == want
+            assert ring.ledger.snapshot() == twin.ledger.snapshot()
+            assert p.rng.getstate() == ref.rng.getstate()
+            assert p.stats == ref.stats
 
 
 def test_hom_kernel_map_keeps_the_oracle_path():
