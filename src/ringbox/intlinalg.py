@@ -313,16 +313,14 @@ class LatticeBuilder:
 
     Vectors are accumulated one at a time; ``basis_columns`` returns the
     canonical echelon basis (positive pivots, cross entries reduced into
-    [0, pivot)) and keeps it until an ``add`` changes a pivot.  Seeding with
-    moduli stores s_j * e_j as pivots, so the lattice always contains the
-    ambient torus relations.  Pivot lists are replaced, never edited in
-    place, so ``copy`` shares them.
+    [0, pivot)).  Seeding with moduli stores s_j * e_j as pivots, so the
+    lattice always contains the ambient torus relations.  Pivot lists are
+    replaced, never edited in place, so ``copy`` shares them.
     """
 
     def __init__(self, dim: int, seed_moduli=None):
         self.dim = dim
         self._pivots: dict[int, list[int]] = {}
-        self._columns: tuple[tuple[int, ...], ...] | None = None
         if seed_moduli is not None:
             seed_moduli = tuple(seed_moduli)
             if len(seed_moduli) != dim:
@@ -337,7 +335,6 @@ class LatticeBuilder:
         """An independent builder over the same lattice."""
         twin = LatticeBuilder(self.dim)
         twin._pivots = dict(self._pivots)
-        twin._columns = self._columns
         return twin
 
     def add(self, vec) -> bool:
@@ -354,7 +351,6 @@ class LatticeBuilder:
                 if v[r] < 0:
                     v = [-t for t in v]
                 self._pivots[r] = v
-                self._columns = None
                 return True
             pr, vr = piv[r], v[r]
             if vr % pr == 0:
@@ -365,7 +361,6 @@ class LatticeBuilder:
                 new_piv = [x * p + y * t for p, t in zip(piv, v)]
                 v = [(pr // g) * t - (vr // g) * p for t, p in zip(v, piv)]
                 self._pivots[r] = new_piv
-                self._columns = None
                 changed = True
         return changed
 
@@ -386,10 +381,8 @@ class LatticeBuilder:
                         self._pivots[r2] = [a - q * b for a, b in zip(other, piv)]
 
     def basis_columns(self) -> tuple[tuple[int, ...], ...]:
-        if self._columns is None:
-            self._canonicalize()
-            self._columns = tuple(tuple(self._pivots[r]) for r in self.pivot_rows())
-        return self._columns
+        self._canonicalize()
+        return tuple(tuple(self._pivots[r]) for r in self.pivot_rows())
 
     def reduce(self, vec) -> tuple[int, ...]:
         """Canonical residue of vec modulo the lattice (needs full rank for

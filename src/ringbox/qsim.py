@@ -313,12 +313,12 @@ class PrimitiveProvider:
 
     def _span(self, ring: RingOracle, gens) -> _Span:
         """The memoized span of a generator tuple.  A new span extends the
-        span of its longest memoized prefix; the empty tuple's span, the
-        moduli lattice alone, is the root."""
+        span of its longest memoized non-empty prefix, or the moduli lattice
+        when it has none."""
         key = (ring._key, gens)
         span = self._spans.get(key)
         if span is None:
-            parent = self._span(ring, ()) if gens else None
+            parent = None
             for cut in range(len(gens) - 1, 0, -1):
                 prefix = self._spans.get((ring._key, gens[:cut]))
                 if prefix is not None:

@@ -203,9 +203,10 @@ LATTICE_QUERIES = ("basis_columns", "reduce", "contains", "determinant")
     ),
 )
 @settings(max_examples=150, deadline=None)
-def test_cached_columns_match_a_rebuilt_builder(moduli, steps):
-    """Any interleaving of adds and queries answers as a builder that took
-    the same vectors without queries in between."""
+def test_interleaved_queries_match_a_rebuilt_builder(moduli, steps):
+    """Any interleaving of adds and queries (each canonicalizing or reading
+    the pivots) answers as a builder that took the same vectors without
+    queries in between."""
     lat = LatticeBuilder(LATTICE_DIM, seed_moduli=moduli)
     added = []
     for name, vec in steps:
