@@ -13,11 +13,14 @@ tuple is a prefix of the other, L_A + L_B is the longer span's lattice.
 Hidden subgroups are kernels of additive maps, read off one Hermite form
 (an element decomposition's map, over an independent basis plus one
 element x, off the basis span's memoized form: one preimage of x, with the
-basis images the span stores), then spot-checked against the map: through
-the images of the generators when the map is additive by construction (the
-ring's coordinates, and the intersection, colon and annihilator labels of
-``ringops``), through oracle evaluations otherwise (the hom kernel's map and
-any other caller-supplied ``post``).  The *sampled* backend consults the
+basis images the span stores).  A map additive by construction (the ring's
+coordinates, and the intersection, colon and annihilator labels of
+``ringops``) is then certified without a random draw: every vector the
+solver adds to the moduli maps into the target, and the moduli lie in the
+kernel (the kernel's triangular columns keep their determinant when the
+moduli are added; over a basis, s_x x = 0).  Any other map (the hom
+kernel's, or any other caller-supplied ``post``) is spot-checked by random
+rounds of oracle evaluations.  The *sampled* backend consults the
 same ground truth internally but exposes only measurement-shaped data:
 swap-test shots with the correct Bernoulli law, characters drawn uniformly
 from the annihilator dual (their joint kernel is taken after reducing them
@@ -119,12 +122,6 @@ class CoordSubgroup:
     lattice: tuple[tuple[int, ...], ...]
     order: int
 
-    def contains(self, vec) -> bool:
-        lat = LatticeBuilder(len(self.moduli), seed_moduli=self.moduli)
-        for col in self.lattice:
-            lat.add(col)
-        return lat.contains(vec)
-
 
 @dataclass(frozen=True)
 class HidingFunction:
@@ -140,10 +137,12 @@ class HidingFunction:
     ``additive`` marks a ``post`` that is additive by construction: the
     default (the ring's coordinates, used by ``abelian``) and the label maps
     ``ringops`` builds from span coordinates and ring multiplication
-    (intersection, colon, annihilator).  The exact backend spot-checks those
-    through coordinates; any other ``post`` (the hom kernel's caller-supplied
-    map included) is spot-checked by evaluating the map on oracle elements,
-    which is what catches a ``post`` that is not additive.
+    (intersection, colon, annihilator).  The ground truth certifies those
+    deterministically from the generators' images: each vector it adds to
+    the hidden lattice maps into the target, and a wrong modulus is caught.
+    Any other ``post`` (the hom kernel's caller-supplied map included) is
+    spot-checked by evaluating the map on random oracle elements, which is
+    what catches a ``post`` that is not additive.
 
     ``over_basis`` marks a map with the default ``post`` whose combo
     generators are an independent basis h_1..h_l, of orders moduli[:l],
@@ -199,6 +198,23 @@ def _annihilator(vectors, moduli) -> tuple[tuple[int, ...], ...]:
         rows.add([v * (big // m) for v, m in zip(y, moduli)])
     basis = rows.basis_columns()
     return lattice_kernel_mod(IntMatrix.from_rows(basis), [big] * len(basis))
+
+
+def _broken(hiding: HidingFunction, fault: str) -> HidingContractError:
+    return HidingContractError(f"hiding {hiding.name or '<anonymous>'} {fault}")
+
+
+def _certify(hiding: HidingFunction, images, vectors):
+    """Raise HidingContractError unless every vector v lies in the kernel:
+    sum_j (v_j mod s_j) images[j], images[j] = post(g_j), is in the target."""
+    for vec in vectors:
+        label = [0] * hiding.target.dim
+        for v, s, image in zip(vec, hiding.moduli, images):
+            n = v % s
+            if n:
+                label = [a + n * b for a, b in zip(label, image)]
+        if not hiding.target.contains(label):
+            raise _broken(hiding, "is not constant on cosets")
 
 
 class _Span:
@@ -394,13 +410,9 @@ class PrimitiveProvider:
 
     # ---- hidden subgroup machinery ----
 
-    def _spot_check(
-        self, hiding: HidingFunction, lattice: LatticeBuilder, images, checks=6
-    ):
-        """Check random lattice vectors h against the map: label(z) =
-        label(z + h), through the oracle; for an additive ``post``, through
-        the images post(g_j): sum_j h_j post(g_j) lies in the target.  Both
-        paths draw z and h alike, so the random stream is the same."""
+    def _spot_check(self, hiding: HidingFunction, lattice: LatticeBuilder, checks=6):
+        """Check random lattice vectors h against a map that is not additive
+        by construction: label(z) = label(z + h), through the oracle."""
         k = len(hiding.moduli)
         cols = lattice.basis_columns()
         for _ in range(checks):
@@ -410,45 +422,55 @@ class PrimitiveProvider:
                 c = self.rng.randrange(0, 3)
                 if c:
                     h = [a + c * b for a, b in zip(h, col)]
-            if hiding.additive:
-                label = [0] * hiding.target.dim
-                for hj, s, image in zip(h, hiding.moduli, images):
-                    n = hj % s
-                    if n:
-                        label = [a + n * b for a, b in zip(label, image)]
-                constant = hiding.target.contains(label)
-            else:
-                zh = tuple((a + b) % s for a, b, s in zip(z, h, hiding.moduli))
-                constant = hiding.evaluate(z) == hiding.evaluate(zh)
-            if not constant:
-                raise HidingContractError(
-                    f"hiding {hiding.name or '<anonymous>'} is not constant on cosets"
-                )
+            zh = tuple((a + b) % s for a, b, s in zip(z, h, hiding.moduli))
+            if hiding.evaluate(z) != hiding.evaluate(zh):
+                raise _broken(hiding, "is not constant on cosets")
 
     def _hidden_subgroup_exact(self, hiding: HidingFunction) -> LatticeBuilder:
         """The hidden subgroup's lattice over Z^l (relations and s_j e_j):
         the kernel of z -> sum_j z_j post(g_j) modulo the target.  A map
         over a basis reads it, and the basis images, off the basis span when
         x lies in the span; the canonical Hermite form is the one the
-        stacked route gives."""
-        gens = hiding.combo_generators
-        lattice = LatticeBuilder(len(hiding.moduli), seed_moduli=hiding.moduli)
+        stacked route gives.
+
+        A map additive by construction is certified, drawing nothing: each
+        vector added to the moduli maps into the target, and the moduli lie
+        in the kernel.  Any other map is spot-checked through the oracle."""
+        gens, target = hiding.combo_generators, hiding.target
+        k = len(hiding.moduli)
+        lattice = LatticeBuilder(k, seed_moduli=hiding.moduli)
         n = None
         if hiding.over_basis:
             span = self._span(hiding.ring, gens[:-1])
             image = hiding.ring._coords(gens[-1])
-            images = span._images + [image]
             n = span.combination(hiding.ring, image)
+        if n is not None:
+            images = span._images + [image]
+            added = [tuple(-v for v in n) + (1,)]
+            lattice.add(added[0])
+            # decompose_group certified the basis orders; x's must hold too
+            moduli_hold = target.contains([hiding.moduli[-1] * v for v in image])
         else:
             images = [hiding.post(g) for g in gens]
-        if n is not None:
-            lattice.add(tuple(-v for v in n) + (1,))
+            dim = target.dim
+            added = [
+                col[dim:]
+                for col in stacked_lattice(images, target).basis_columns()
+                if not any(col[:dim])
+            ]
+            for vec in added:
+                lattice.add(vec)
+            # the kernel's triangular columns contain every s_j e_j iff
+            # seeding them with the moduli keeps their determinant
+            moduli_hold = len(added) == k and prod(
+                t[j] for j, t in enumerate(added)
+            ) == lattice.determinant()
+        if not hiding.additive:
+            self._spot_check(hiding, lattice)
+        elif not moduli_hold:
+            raise _broken(hiding, "does not vanish on its moduli")
         else:
-            dim = hiding.target.dim
-            for col in stacked_lattice(images, hiding.target).basis_columns():
-                if not any(col[:dim]):
-                    lattice.add(col[dim:])
-        self._spot_check(hiding, lattice, images)
+            _certify(hiding, images, added)
         return lattice
 
     def sample_hidden_subgroup_characters(

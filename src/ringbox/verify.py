@@ -58,34 +58,33 @@ def ideal_closure(ring: RingOracle, gens, side: str) -> frozenset:
     """Smallest set containing ``gens`` closed under addition and one- or
     two-sided multiplication by every ring element.
 
-    Forms the products of each element with the ring generators once, when
-    the element joins the span; a product outside the span extends the span
-    by the product's multiples, and the new elements wait their turn.
+    Forms products only of the span's additive generators: ``gens``, and
+    each product that extends the span.  By distributivity the span is
+    closed under the ring generators once every additive generator's
+    products lie in it.  A product outside the span extends the span by its
+    multiples and joins the generators that wait their turn.
     """
     chan = ring.verification
     span = _additive_closure(chan, list(gens))
-    pending = list(span)
+    pending = list(gens)
     while pending:
         x = pending.pop()
         for r in ring.generators:
             for c in _products(chan, r, x, side):
                 if c not in span:
-                    pending += _extend(chan, span, c)
+                    _extend(chan, span, c)
+                    pending.append(c)
     return frozenset(span)
 
 
-def _extend(chan, span: set, g) -> list:
+def _extend(chan, span: set, g):
     """Grow the group ``span`` in place to span + <g>, one coset span + k*g
-    at a time until k*g falls in it; returns the new elements."""
+    at a time until k*g falls in it."""
     base = list(span)
-    fresh = []
     step = g
     while step not in span:
-        coset = [chan.add(x, step) for x in base]
-        span.update(coset)
-        fresh += coset
+        span.update(chan.add(x, step) for x in base)
         step = chan.add(step, g)
-    return fresh
 
 
 def _products(chan, r, x, side) -> list:

@@ -7,7 +7,8 @@ that must alter an output regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --regenerate
 
-and says in CHANGES.md why the output moved.
+which prints the index and the moved JSON fields (old -> new) of every
+record it rewrites, and says in CHANGES.md why the output moved.
 """
 
 import io
@@ -91,14 +92,38 @@ def test_golden_cli_json(index, tmp_path):
     assert out.encode() == rec["stdout"].encode()
 
 
+def _moved(old, new, path="stdout"):
+    """(path, old, new) for each JSON leaf that differs between two values."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from _moved(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from _moved(a, b, f"{path}[{i}]")
+    elif old != new:
+        yield path, old, new
+
+
 def _regenerate():
+    """Rewrite the golden file; print each rewritten record's index and the
+    JSON fields that moved, old -> new."""
+    before = {tuple(rec["argv"]): rec for rec in _load()} if GOLDEN.exists() else {}
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         _write_rings(Path(tmp))
-        for argv in CASES:
+        for index, argv in enumerate(CASES):
             code, out = _run(argv, Path(tmp))
             rec = {"argv": argv, "exit": code, "stdout": out}
             lines.append(json.dumps(rec, separators=(",", ":")))
+            old = before.get(tuple(argv))
+            if old is None:
+                print(f"record {index}: new")
+            elif old != rec:
+                print(f"record {index}: {' '.join(argv)}")
+                if old["exit"] != code:
+                    print(f"  exit {old['exit']} -> {code}")
+                for path, a, b in _moved(json.loads(old["stdout"]), json.loads(out)):
+                    print(f"  {path}: {json.dumps(a)} -> {json.dumps(b)}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("\n".join(lines) + "\n")
     print(f"wrote {len(lines)} records to {GOLDEN}")

@@ -513,6 +513,7 @@ def test_field_test_on_explicit_rings():
     database=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+@example(MATRIX_OVER_POLYQUOT, 5)
 @example(PRODUCT_OF_POLYQUOTS, 6)
 @given(small_specs(), st.integers(0, 1 << 20))
 def test_field_test_on_nested_specs(spec, seed):

@@ -24,6 +24,7 @@ from ringbox.qsim import (
     ProviderConfig,
     SubgroupDescriptor,
     _annihilator,
+    _certify,
     _Span,
 )
 from test_acceptance import DESK_SUITE
@@ -101,6 +102,14 @@ def hiding_for_kernel(ring, gens, moduli):
     return HidingFunction(ring=ring, moduli=moduli, combo_generators=gens)
 
 
+def in_subgroup(sub, vec):
+    """Whether a solved hidden subgroup contains the coordinate vector."""
+    lat = LatticeBuilder(len(sub.moduli), seed_moduli=sub.moduli)
+    for col in sub.lattice:
+        lat.add(col)
+    return lat.contains(vec)
+
+
 def test_characters_annihilate_hidden_subgroup():
     # G = Z_4 with hiding through 2*z mod 4 wait-free: use ring Z_4, gen 2
     r = make_ring(ModularSpec(4), 3)
@@ -138,7 +147,7 @@ def test_solve_ahsp_examples():
         hiding = hiding_for_kernel(r, (four,), (12,))
         sub = p.solve_ahsp(hiding)
         assert sub.order == 4
-        assert sub.contains((3,)) and not sub.contains((1,))
+        assert in_subgroup(sub, (3,)) and not in_subgroup(sub, (1,))
 
         (one,) = codes(r, 1)
         hiding = hiding_for_kernel(r, (one,), (12,))
@@ -277,8 +286,9 @@ def test_coordinate_spot_check_matches_oracle_path_on_desk_rings():
             assert hiding.additive and not twin.additive
             by_coords = provider(seed=6, epsilon=1e-9)
             by_oracle = provider(seed=6, epsilon=1e-9)
+            state = by_coords.rng.getstate()
             assert by_coords.solve_ahsp(hiding) == by_oracle.solve_ahsp(twin)
-            assert by_coords.rng.getstate() == by_oracle.rng.getstate()
+            assert by_coords.rng.getstate() == state  # the certificate draws nothing
             assert hiding.over_basis == (hiding.name == "element-decomposition")
             if hiding.over_basis:
                 assert_span_route_matches_stacked(hiding)
@@ -325,7 +335,7 @@ def test_span_route_falls_back_outside_the_span():
     assert sub == provider().solve_ahsp(stacked_twin(hiding))
     # the kernel of z -> 4 z_1 + z_2: (1, -4) and 12 e_2 span it, not (-n, 1)
     assert sub.order == 3
-    assert sub.contains((1, 8)) and not sub.contains((1, 0))
+    assert in_subgroup(sub, (1, 8)) and not in_subgroup(sub, (1, 0))
 
 
 def test_basis_marker_needs_the_default_post():
@@ -407,12 +417,39 @@ def test_coordinate_spot_check_rejects_a_column_outside_the_kernel():
     gens = codes(r, 1, 4)
     hiding = hiding_for_kernel(r, gens, (12, 3))  # kernel of z -> z_1 + 4 z_2
     assert hiding.additive
-    p = provider()
-    wrong = p._hidden_subgroup_exact(hiding)
-    assert wrong.add((0, 1))  # 4 is not 0 in Z_12
     images = [r._coords(g) for g in gens]
+    _certify(hiding, images, [(8, 1), (0, 3)])  # kernel vectors pass
     with pytest.raises(HidingContractError):
-        p._spot_check(hiding, wrong, images)
+        _certify(hiding, images, [(8, 1), (0, 1)])  # 4 is not 0 in Z_12
+
+
+def test_certificate_rejects_a_wrong_modulus():
+    # z -> z on Z_6 is no map: 6 is not 0 in Z_12 (the random rounds
+    # passed it, and the solver returned the trivial subgroup)
+    r = ring_z12()
+    hiding = hiding_for_kernel(r, codes(r, 1), (6,))
+    with pytest.raises(HidingContractError):
+        provider().solve_ahsp(hiding)
+    assert provider().solve_ahsp(hiding_for_kernel(r, codes(r, 4), (6,))).order == 2
+
+
+def test_certificate_rejects_a_wrong_modulus_over_a_basis():
+    r = ring_z12()
+    p = provider()
+    basis = decompose_group(r, r.generators, p)
+    (four,) = codes(r, 4)  # of order 3; the basis span is all of Z_12
+    for s, ok in ((3, True), (6, True), (2, False), (4, False)):
+        hiding = HidingFunction(
+            ring=r,
+            moduli=basis.s + (s,),
+            combo_generators=basis.h + (four,),
+            over_basis=True,
+        )
+        if ok:
+            assert p.solve_ahsp(hiding) == p.solve_ahsp(stacked_twin(hiding))
+        else:
+            with pytest.raises(HidingContractError):
+                p.solve_ahsp(hiding)
 
 
 def test_coordinate_spot_check_makes_no_oracle_call(monkeypatch):
