@@ -2,9 +2,9 @@
 
 Given additive generators, this module finds the invariant-factor form of the
 group they span (additive orders, hidden-subgroup relation finding, Smith
-reduction), decomposes individual elements over such a basis, and
-labels cosets modulo a sub-lattice so quotient arithmetic can run on small
-coordinate labels.
+reduction), decomposes individual elements over such a basis, and builds
+the coordinate lattice of an ideal over the ambient basis; reducing an
+element's coordinates modulo that lattice gives its canonical coset label.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .qsim import (
     HidingFunction,
     PrimitiveProvider,
     SubgroupDescriptor,
-    _double_and_add,
     combine_codes,
 )
 
@@ -30,7 +29,6 @@ __all__ = [
     "decompose_group",
     "decompose_element",
     "ideal_lattice",
-    "QuotientView",
     "combine_codes",
 ]
 
@@ -212,39 +210,3 @@ def ideal_lattice(
         lat.add(decompose_element(ring, m, ring_basis, provider))
     return lat
 
-
-class QuotientView:
-    """Arithmetic on R/I through canonical coset labels.
-
-    Labels are coordinate reductions over the ambient basis; products are
-    computed on representatives through the ring oracle and re-reduced.
-    ``pow`` runs metered (classical algorithm work); ``mul_cheat`` serves the
-    simulation layer.
-    """
-
-    def __init__(
-        self,
-        ring: RingOracle,
-        ring_basis: InvariantFactorBasis,
-        sub_lattice: LatticeBuilder,
-        provider: PrimitiveProvider,
-    ):
-        self.ring = ring
-        self.basis = ring_basis
-        self.lattice = sub_lattice
-        self._coords = provider.span_coordinates(ring, ring_basis)
-        # residues modulo the sub-lattice are the quotient's elements
-        self.size = sub_lattice.determinant()
-
-    def label_of(self, code: ElementCode) -> tuple[int, ...]:
-        return self.lattice.reduce(self._coords(code))
-
-    def zero_label(self) -> tuple[int, ...]:
-        return self.lattice.reduce((0,) * len(self.basis.s))
-
-    def mul_cheat(self, a: ElementCode, b: ElementCode) -> ElementCode:
-        return self.ring.unmetered.mul(a, b)
-
-    def pow(self, code: ElementCode, k: int) -> ElementCode:
-        """code^k for k >= 1 by repeated squaring (metered)."""
-        return _double_and_add(self.ring.metered.mul, code, k)

@@ -145,7 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(argv) -> RunConfig:
     args = build_parser().parse_args(argv)
     if args.seed is None:
-        args.seed = int(os.environ.get("RINGBOX_SEED", "0"))
+        raw = os.environ.get("RINGBOX_SEED", "0")
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            raise ParseError(f"RINGBOX_SEED is not an integer: {raw!r}") from None
     return RunConfig(**vars(args))
 
 
@@ -741,10 +745,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         config = config_from_args(argv)
+        code, report, human = run(config)
     except SystemExit as exc:  # argparse reports its own parse errors
         return 2 if exc.code else 0
-    try:
-        code, report, human = run(config)
     except (ParseError, RingConstructionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

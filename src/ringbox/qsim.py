@@ -162,6 +162,10 @@ class HidingFunction:
     over_basis: bool = False
 
     def __post_init__(self):
+        if len(self.moduli) != len(self.combo_generators):
+            raise PreconditionError("a hiding map needs one modulus per combo generator")
+        if any(s < 1 for s in self.moduli):
+            raise PreconditionError("hiding moduli must be positive")
         if (self.post is None) != (self.target is None):
             raise PreconditionError("a hiding map needs both post and target")
         if self.over_basis and self.post is not None:
@@ -516,44 +520,54 @@ class PrimitiveProvider:
 
     # ---- order finding ----
 
+    def _period_estimates(self, period: int, bound: int):
+        """Running lcm, over at most 64 rounds, of the denominators that
+        continued fractions (bounded by ``bound``) read off sampled outcomes
+        y = round(j*q/period), j uniform and q > bound^2.  The lcm divides
+        the period; each finder certifies it with its own check."""
+        q = 1 << (bound * bound).bit_length()  # smallest power of two > bound^2
+        acc = 1
+        for _ in range(64):
+            j = self.rng.randrange(period)
+            y = (2 * j * q + period) // (2 * period)  # round(j*q/period)
+            acc = lcm(acc, Fraction(y % q, q).limit_denominator(bound).denominator)
+            yield acc
+
     def find_additive_order(self, ring: RingOracle, a: ElementCode) -> int:
         """Smallest c >= 1 with c*a = 0.
 
-        The sampled backend draws period-finding outcomes y ~ round(j*q/c)
-        for uniform j, reconstructs candidate periods from continued-fraction
-        convergents, and verifies the accumulated lcm through the metered
-        addition oracle.
+        The sampled backend runs period finding on c (``_period_estimates``)
+        and certifies each round's lcm through the metered addition oracle.
         """
         self.stats["orders"] += 1
         c = ring._additive_order(a)
-        if not self.sampled:
+        if not self.sampled or c == 1:
             return c
-        if c == 1:
-            return 1
-        q = 1 << (c * c).bit_length()  # smallest power of two with q > c^2
-        acc = 1
         chan = ring.metered
-        for _ in range(64):
-            j = self.rng.randrange(c)
-            y = (2 * j * q + c) // (2 * c)  # round(j*q/c)
-            den = Fraction(y % q, q).limit_denominator(c).denominator
-            acc = lcm(acc, den)
+        for acc in self._period_estimates(c, c):
             # acc divides c; acc*a = 0 certifies acc = c
             if chan.add(_double_and_add(chan.add, a, acc), a) == a:
                 return acc
         raise LowConfidenceError("additive order did not stabilize")
 
-    def find_multiplicative_order_in_quotient(self, quotient, r: ElementCode):
-        """Period of the power sequence of r's image in the quotient, or None
-        when the sequence has a preperiod (image not invertible).
+    def find_multiplicative_order_in_quotient(
+        self, ring: RingOracle, label_of, size: int, r: ElementCode
+    ):
+        """Period of the power sequence of r's image in a quotient of the
+        ring, or None when the sequence has a preperiod (image not
+        invertible).
 
-        ``quotient`` must expose label_of(code), zero_label(),
-        mul_cheat(code, code), pow(code, k) [metered], and size.
+        ``label_of`` maps a code to its canonical coset label and ``size`` is
+        the number of cosets.  The walk multiplies through the unmetered
+        channel; the sampled backend runs period finding with outcomes
+        bounded by ``size`` and certifies r^(period+1) = r through the
+        metered multiplication oracle.
         """
         self.stats["orders"] += 1
-        if quotient.label_of(r) == quotient.zero_label():
+        start = label_of(r)
+        if start == label_of(ring._zero_code()):
             raise PreconditionError("element lies in the ideal")
-        if quotient.size > DESK_CAP:  # the power walk below is O(|R/I|)
+        if size > DESK_CAP:  # the power walk below is O(|R/I|)
             raise PreconditionError(
                 "multiplicative order needs a quotient within the desk cap"
             )
@@ -561,7 +575,7 @@ class PrimitiveProvider:
         code = r
         k = 1
         while True:
-            lab = quotient.label_of(code)
+            lab = label_of(code)
             if lab in seen:
                 first = seen[lab]
                 period = k - first
@@ -569,22 +583,14 @@ class PrimitiveProvider:
                     return None  # eventually periodic only
                 break
             seen[lab] = k
-            code = quotient.mul_cheat(code, r)
+            code = ring.unmetered.mul(code, r)
             k += 1
         if not self.sampled:
             return period
-        size = quotient.size
-        q = 1 << (size * size).bit_length()
-        acc = 1
-        for _ in range(64):
-            j = self.rng.randrange(period)
-            y = (2 * j * q + period) // (2 * period)
-            den = Fraction(y % q, q).limit_denominator(size).denominator
-            acc = lcm(acc, den)
+        for acc in self._period_estimates(period, size):
             if acc == period:
-                # verify r^(acc+1) = r through the metered oracle
-                p = quotient.pow(r, acc + 1)
-                if quotient.label_of(p) == quotient.label_of(r):
+                p = _double_and_add(ring.metered.mul, r, acc + 1)
+                if label_of(p) == start:
                     return acc
         raise LowConfidenceError("multiplicative order did not stabilize")
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import ceil, log
 
 from .abelian import (
-    QuotientView,
     _basis_descriptor,
     combine_codes,
     decompose_element,
@@ -142,11 +141,6 @@ def is_unit(
     )
 
 
-def _trivial_quotient(ring, ring_rep, provider) -> QuotientView:
-    lat = ideal_lattice(ring, (), ring_rep.basis, provider)
-    return QuotientView(ring, ring_rep.basis, lat, provider)
-
-
 def inverse(
     ring: RingOracle,
     r: ElementCode,
@@ -154,17 +148,19 @@ def inverse(
     ring_rep: BasisRepresentation | None = None,
 ) -> ElementCode:
     """Multiplicative inverse through order finding: r^(c-1) for the
-    multiplicative order c of r."""
+    multiplicative order c of r.  Codes name elements, so they serve as
+    the coset labels of R/0."""
     ring_rep = ring_rep or ring_representation(ring, provider)
     if not is_unit(ring, r, provider, ring_rep):
         raise PreconditionError("element is not a unit")
-    qv = _trivial_quotient(ring, ring_rep, provider)
-    c = provider.find_multiplicative_order_in_quotient(qv, r)
+    c = provider.find_multiplicative_order_in_quotient(
+        ring, lambda code: code, ring_rep.order(), r
+    )
     if c is None:
         raise PreconditionError("element is not a unit")
     if c == 1:  # r * r = r forces r to be the identity
         return r
-    return qv.pow(r, c - 1)
+    return _double_and_add(ring.metered.mul, r, c - 1)
 
 
 def _label_map(coords, lattice: LatticeBuilder, maps, additive: bool):
@@ -545,7 +541,9 @@ def is_prime_ideal(
         return PrimalityVerdict(_quotient_is_field(ring_rep, lat), 0, 1.0)
     eps = provider.config.epsilon
     d = size_r // size_i
-    qv = QuotientView(ring, ring_rep.basis, lat, provider)
+    coords = provider.span_coordinates(ring, ring_rep.basis)
+    label_of = lambda code: lat.reduce(coords(code))
+    size = lat.determinant()
     i_desc = _basis_descriptor(ring, acc_i.basis)
     r_desc = _basis_descriptor(ring, ring_rep.basis)
     trials = max(1, ceil(PRIME_TRIAL_CONSTANT * log(max(d, 2)) * log(1.0 / eps)))
@@ -560,7 +558,8 @@ def is_prime_ideal(
         if r is None:
             continue
         effective += 1
-        if provider.find_multiplicative_order_in_quotient(qv, r) == d - 1:
+        c = provider.find_multiplicative_order_in_quotient(ring, label_of, size, r)
+        if c == d - 1:
             return PrimalityVerdict(True, t + 1, 1.0)
     if d == 2:
         p_hit = 1.0  # the only nonzero residue is the identity

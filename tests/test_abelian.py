@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ringbox.abelian import (
-    QuotientView,
     combine_codes,
     decompose_element,
     decompose_group,
@@ -167,36 +166,32 @@ def test_decompose_element_sampled_backend():
             assert combine_codes(chan, basis.h, n) == x
 
 
-def test_quotient_labels_partition():
+def test_coset_labels_partition():
+    # lat.reduce(span coordinates) labels the cosets of an ideal's lattice
     r = make_ring(ModularSpec(12), 6)
     p = provider()
     ring_basis = decompose_group(r, r.generators, p)
-    (three,) = codes(r, 3)
-    qv = QuotientView(r, ring_basis, ideal_lattice(r, (three,), ring_basis, p), p)
+    coords = p.span_coordinates(r, ring_basis)
     elems = ring_elements(r)
+    zero, two, three, four, six = codes(r, 0, 2, 3, 4, 6)
+
+    lat3 = ideal_lattice(r, (three,), ring_basis, p)
     labels = {}
     for e in elems:
-        labels.setdefault(qv.label_of(e), set()).add(e)
-    assert len(labels) == 3  # |Z_12 / (3)| = 3
+        labels.setdefault(lat3.reduce(coords(e)), set()).add(e)
+    assert len(labels) == 3 == lat3.determinant()  # |Z_12 / (3)| = 3
     sizes = {len(v) for v in labels.values()}
     assert sizes == {4}  # Lagrange: equal coset sizes
-    assert qv.label_of(three) == qv.label_of(codes(r, 0)[0]) == qv.zero_label()
+    assert lat3.reduce(coords(three)) == lat3.reduce(coords(zero))
     # trivial subgroup: injective labels
-    qv0 = QuotientView(r, ring_basis, ideal_lattice(r, (), ring_basis, p), p)
-    assert len({qv0.label_of(e) for e in elems}) == 12
+    lat0 = ideal_lattice(r, (), ring_basis, p)
+    assert len({lat0.reduce(coords(e)) for e in elems}) == 12 == lat0.determinant()
 
-
-def test_quotient_view_size_and_labels():
-    r = make_ring(ModularSpec(12), 6)
-    p = provider()
-    ring_basis = decompose_group(r, r.generators, p)
-    (four,) = codes(r, 4)
-    lat = ideal_lattice(r, (four,), ring_basis, p)
-    qv = QuotientView(r, ring_basis, lat, p)
-    assert qv.size == 4
-    two, six = codes(r, 2, 6)
-    assert qv.label_of(six) == qv.label_of(two)  # 6 = 2 + 4
-    assert qv.label_of(qv.pow(two, 2)) == qv.zero_label()  # 4 in (4)
+    lat4 = ideal_lattice(r, (four,), ring_basis, p)
+    assert lat4.determinant() == 4
+    assert lat4.reduce(coords(six)) == lat4.reduce(coords(two))  # 6 = 2 + 4
+    square = r.verification.mul(two, two)
+    assert lat4.reduce(coords(square)) == lat4.reduce(coords(zero))  # 4 in (4)
 
 
 def test_subgroup_order_examples():

@@ -318,6 +318,10 @@ def test_seed_env_override(ring_file, capsys, monkeypatch):
     assert json.loads(out_env)["seed"] == 7
     _, out_flag, _ = invoke(capsys, ["zero", "--ring", path, "--json", "--seed", "3"])
     assert json.loads(out_flag)["seed"] == 3
+    monkeypatch.setenv("RINGBOX_SEED", "abc")
+    code, out, err = invoke(capsys, ["order", "--ring", path, "--ideal", "4"])
+    assert (code, out) == (2, "")
+    assert err == "parse error: RINGBOX_SEED is not an integer: 'abc'\n"
 
 
 def test_bench_single_row():

@@ -48,6 +48,7 @@ COMMANDS = [
     ["neg", "--ring", "z12.ring", "--element", "5"],
     ["solve", "--ring", "z12.ring", "--a", "4", "--b", "8"],
     ["prime", "--ring", "z12.ring", "--ideal", "3"],
+    ["prime", "--ring", "z12.ring", "--ideal", "3", "--prime-period-finding"],
     ["hom-kernel", "--ring", "z12.ring", "--ring2", "z6.ring", "--hom", "mod"],
     ["hom-injective", "--ring", "z12.ring", "--ring2", "z6.ring", "--hom", "mod"],
     ["hom-surjective", "--ring", "z12.ring", "--ring2", "z6.ring", "--hom", "mod"],

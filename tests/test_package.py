@@ -12,6 +12,31 @@ MODULES = sorted(
 )
 
 
+def _trees():
+    for path in sorted(Path(ringbox.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _callers(name):
+    """(module file, enclosing function) of every call to ``name``
+    in the package, by attribute or bare name."""
+    callers = []
+    for module, tree in _trees():
+        parents = {
+            child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if called == name:
+                    outer = node
+                    while not isinstance(outer, (ast.FunctionDef, ast.Module)):
+                        outer = parents[outer]
+                    callers.append((module, getattr(outer, "name", None)))
+    return callers
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_names_exist(name):
     mod = importlib.import_module(f"ringbox.{name}")
@@ -23,19 +48,18 @@ def test_smith_normal_form_called_only_in_intlinalg():
     # invariant factors have one routine (intlinalg.invariant_factors), and
     # it is the Smith form's only caller: particular solutions come off the
     # stacked Hermite form (intlinalg.preimage)
-    callers = []
-    for path in sorted(Path(ringbox.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        parents = {
-            child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if name == "smith_normal_form":
-                    outer = node
-                    while not isinstance(outer, (ast.FunctionDef, ast.Module)):
-                        outer = parents[outer]
-                    callers.append((path.name, getattr(outer, "name", None)))
-    assert callers == [("intlinalg.py", "invariant_factors")]
+    assert _callers("smith_normal_form") == [("intlinalg.py", "invariant_factors")]
+
+
+def test_period_finding_has_one_continued_fraction_loop():
+    # both sampled order finders read their period estimates off one
+    # routine, and the multiplicative one takes a label function, not a
+    # quotient adapter
+    assert _callers("limit_denominator") == [("qsim.py", "_period_estimates")]
+    defined = [
+        (module, node.name)
+        for module, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "QuotientView"
+    ]
+    assert defined == []

@@ -507,6 +507,18 @@ def test_hiding_contract_violation_detected():
         p.solve_ahsp(hiding)
 
 
+@pytest.mark.parametrize("backend", ["exact", "sampled"])
+@pytest.mark.parametrize(
+    "moduli", [(0,), (-3,), (12, 12)], ids=["zero", "negative", "count-mismatch"]
+)
+def test_hiding_rejects_bad_moduli(moduli, backend):
+    r = ring_z12()
+    with pytest.raises(PreconditionError):
+        provider(backend).solve_ahsp(
+            HidingFunction(ring=r, moduli=moduli, combo_generators=codes(r, 1))
+        )
+
+
 def test_find_additive_order_examples():
     r = ring_z12()
     four, one = codes(r, 4, 1)
@@ -565,8 +577,14 @@ def test_sample_uniform_chi_square():
     assert p.membership(code, desc0)
 
 
+def coset_labels(ring, ring_basis, lat, prov):
+    """(label_of, size) of the ring modulo an ideal's coordinate lattice."""
+    coords = prov.span_coordinates(ring, ring_basis)
+    return (lambda code: lat.reduce(coords(code))), lat.determinant()
+
+
 def test_multiplicative_order_in_quotient():
-    from ringbox.abelian import QuotientView, decompose_group, ideal_lattice
+    from ringbox.abelian import decompose_group, ideal_lattice
 
     r = ring_z12()
     p = provider(seed=13)
@@ -575,33 +593,30 @@ def test_multiplicative_order_in_quotient():
     for backend in ("exact", "sampled"):
         pb = provider(backend, seed=14)
         lat3 = ideal_lattice(r, (three,), ring_basis, pb)
-        qv = QuotientView(r, ring_basis, lat3, pb)
-        assert pb.find_multiplicative_order_in_quotient(qv, two) == 2
+        labels3 = coset_labels(r, ring_basis, lat3, pb)
+        assert pb.find_multiplicative_order_in_quotient(r, *labels3, two) == 2
 
         lat4 = ideal_lattice(r, (four,), ring_basis, pb)
-        qv4 = QuotientView(r, ring_basis, lat4, pb)
-        assert pb.find_multiplicative_order_in_quotient(qv4, two) is None
+        labels4 = coset_labels(r, ring_basis, lat4, pb)
+        assert pb.find_multiplicative_order_in_quotient(r, *labels4, two) is None
 
     f4 = make_ring(PolyQuotSpec(2, (1, 1, 1)), 2)
     pf = provider(seed=15)
-    f4_basis = decompose_group(f4, f4.generators, pf)
     x = parse_element_literal(f4, "[0, 1]")
-    zero_lat = ideal_lattice(f4, (), f4_basis, pf)
-    qv = QuotientView(f4, f4_basis, zero_lat, pf)
-    assert pf.find_multiplicative_order_in_quotient(qv, x) == 3
+    assert pf.find_multiplicative_order_in_quotient(f4, lambda code: code, 4, x) == 3
 
 
 def test_mult_order_precondition():
-    from ringbox.abelian import QuotientView, decompose_group, ideal_lattice
+    from ringbox.abelian import decompose_group, ideal_lattice
 
     r = ring_z12()
     p = provider(seed=16)
     ring_basis = decompose_group(r, r.generators, p)
     three, six = codes(r, 3, 6)
     lat = ideal_lattice(r, (three,), ring_basis, p)
-    qv = QuotientView(r, ring_basis, lat, p)
+    labels = coset_labels(r, ring_basis, lat, p)
     with pytest.raises(PreconditionError):
-        p.find_multiplicative_order_in_quotient(qv, six)  # 6 in (3)
+        p.find_multiplicative_order_in_quotient(r, *labels, six)  # 6 in (3)
 
 
 def test_provider_fork_determinism():
