@@ -166,32 +166,39 @@ def test_decompose_element_sampled_backend():
             assert combine_codes(chan, basis.h, n) == x
 
 
-def test_coset_labels_partition():
+def test_quotient_labels_partition():
     # lat.reduce(span coordinates) labels the cosets of an ideal's lattice
     r = make_ring(ModularSpec(12), 6)
     p = provider()
     ring_basis = decompose_group(r, r.generators, p)
     coords = p.span_coordinates(r, ring_basis)
     elems = ring_elements(r)
-    zero, two, three, four, six = codes(r, 0, 2, 3, 4, 6)
-
-    lat3 = ideal_lattice(r, (three,), ring_basis, p)
+    zero, three = codes(r, 0, 3)
+    lat = ideal_lattice(r, (three,), ring_basis, p)
     labels = {}
     for e in elems:
-        labels.setdefault(lat3.reduce(coords(e)), set()).add(e)
-    assert len(labels) == 3 == lat3.determinant()  # |Z_12 / (3)| = 3
+        labels.setdefault(lat.reduce(coords(e)), set()).add(e)
+    assert len(labels) == 3 == lat.determinant()  # |Z_12 / (3)| = 3
     sizes = {len(v) for v in labels.values()}
     assert sizes == {4}  # Lagrange: equal coset sizes
-    assert lat3.reduce(coords(three)) == lat3.reduce(coords(zero))
+    assert lat.reduce(coords(three)) == lat.reduce(coords(zero))
     # trivial subgroup: injective labels
     lat0 = ideal_lattice(r, (), ring_basis, p)
     assert len({lat0.reduce(coords(e)) for e in elems}) == 12 == lat0.determinant()
 
-    lat4 = ideal_lattice(r, (four,), ring_basis, p)
-    assert lat4.determinant() == 4
-    assert lat4.reduce(coords(six)) == lat4.reduce(coords(two))  # 6 = 2 + 4
+
+def test_quotient_view_size_and_labels():
+    # Z_12 / (4): the lattice's determinant is the quotient's size
+    r = make_ring(ModularSpec(12), 6)
+    p = provider()
+    ring_basis = decompose_group(r, r.generators, p)
+    coords = p.span_coordinates(r, ring_basis)
+    zero, two, four, six = codes(r, 0, 2, 4, 6)
+    lat = ideal_lattice(r, (four,), ring_basis, p)
+    assert lat.determinant() == 4
+    assert lat.reduce(coords(six)) == lat.reduce(coords(two))  # 6 = 2 + 4
     square = r.verification.mul(two, two)
-    assert lat4.reduce(coords(square)) == lat4.reduce(coords(zero))  # 4 in (4)
+    assert lat.reduce(coords(square)) == lat.reduce(coords(zero))  # 4 in (4)
 
 
 def test_subgroup_order_examples():
