@@ -46,6 +46,7 @@ from .abelian import (
     AbelianPresentation,
     InvariantFactorBasis,
     decompose_element,
+    decompose_elements,
     decompose_group,
     present_group,
 )

@@ -2,9 +2,10 @@
 
 Given additive generators, this module finds the invariant-factor form of the
 group they span (additive orders, hidden-subgroup relation finding, Smith
-reduction), decomposes individual elements over such a basis, and builds
-the coordinate lattice of an ideal over the ambient basis; reducing an
-element's coordinates modulo that lattice gives its canonical coset label.
+reduction), decomposes elements over such a basis (a batch of them per
+hidden-subgroup solve), and builds the coordinate lattice of an ideal over
+the ambient basis; reducing an element's coordinates modulo that lattice
+gives its canonical coset label.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from math import ceil, log2, prod
 
 from .blackbox import ElementCode, RingOracle
-from .errors import LowConfidenceError, MembershipError, PreconditionError
-from .intlinalg import LatticeBuilder, egcd, invariant_factors
+from .errors import HidingContractError, LowConfidenceError, MembershipError, PreconditionError
+from .intlinalg import LatticeBuilder, invariant_factors
 from .qsim import (
     HidingFunction,
     PrimitiveProvider,
@@ -28,6 +29,7 @@ __all__ = [
     "present_group",
     "decompose_group",
     "decompose_element",
+    "decompose_elements",
     "ideal_lattice",
     "combine_codes",
 ]
@@ -129,72 +131,71 @@ def decompose_element(
     basis: InvariantFactorBasis,
     provider: PrimitiveProvider,
 ) -> tuple[int, ...]:
-    """Coefficients n with x = sum_j n_j h_j and 0 <= n_j < s_j.
+    """Coefficients n with x = sum_j n_j h_j and 0 <= n_j < s_j: a batch of
+    one for ``decompose_elements``."""
+    return decompose_elements(ring, (x,), basis, provider)[0]
 
-    Solves the hidden-subgroup instance on Z_{s_1} x ... x Z_{s_l} x Z_s,
-    s the additive order of x, whose kernel is the cyclic subgroup generated
-    by the coefficient vector extended by -1; a combination with unit last
-    coordinate reads off the coefficients.  Answers are memoized per basis.
+
+def decompose_elements(
+    ring: RingOracle,
+    xs,
+    basis: InvariantFactorBasis,
+    provider: PrimitiveProvider,
+) -> tuple[tuple[int, ...], ...]:
+    """The coefficients of ``decompose_element`` for each x in ``xs``.
+
+    Each element not yet memoized passes a membership decision, all of them
+    before any solve (MembershipError for the first outside the span).  One
+    hidden-subgroup instance then covers the t pending elements, on
+    Z_e^t x Z_{s_1} x ... x Z_{s_l} with e = s_l, which kills every member
+    (Cheung & Mosca, quant-ph/0101004): the kernel of
+    (z, y) -> sum_j z_j x_j + sum_i y_i h_i has one canonical Hermite
+    column (e_j; w_j) per element, and x_j = -sum_i w_ji h_i.  Each answer
+    is verified by a combination through the metered oracle; the sampled
+    backend solves the unverified ones again.  Answers are memoized per
+    basis.
     """
     memo = provider.decomp_memo.setdefault((ring._key, basis.h, basis.s), {})
-    hit = memo.get(x)
-    if hit is not None:
-        return hit
+    pending = list(dict.fromkeys(x for x in xs if x not in memo))
     desc = _basis_descriptor(ring, basis)
-    if not provider.membership(x, desc):
-        raise MembershipError("element lies outside the spanned group")
-    l = len(basis.s)
-    if l == 0:
-        memo[x] = ()
-        return ()
-    s = provider.find_additive_order(ring, x)
+    for x in pending:
+        if not provider.membership(x, desc):
+            raise MembershipError("element lies outside the spanned group")
+    if not basis.s:  # the trivial group: every member is zero
+        memo.update(dict.fromkeys(pending, ()))
+        pending = []
     retries = 1 if not provider.sampled else ceil(log2(1.0 / provider.config.epsilon)) + 2
     chan = ring.metered
     for _ in range(retries):
-        vec = _decompose_via_hidden_cycle(ring, x, basis, s, provider)
-        if vec is None:
-            continue
-        if any(vec):
-            ok = combine_codes(chan, basis.h, vec) == x
-        else:
-            ok = chan.add(x, basis.h[0]) == basis.h[0]  # x must be the zero element
-        if ok:
-            memo[x] = vec
-            return vec
-    raise LowConfidenceError("element decomposition did not verify")
-
-
-def _decompose_via_hidden_cycle(ring, x, basis, s, provider):
-    l = len(basis.s)
-    if s == 1:  # x is the additive identity
-        return (0,) * l
-    hiding = HidingFunction(
-        ring=ring,
-        moduli=basis.s + (s,),
-        combo_generators=basis.h + (x,),
-        name="element-decomposition",
-        over_basis=True,
-    )
-    hidden = provider.solve_ahsp(hiding)
-    # combine lattice generators into one with last coordinate 1 (mod s)
-    g = s
-    acc = None
-    for col in hidden.lattice:
-        m = col[l] % s
-        if m == 0:
-            continue
-        gg, u, v = egcd(g, m)
-        if acc is None:
-            acc = [v * t for t in col]
-        else:
-            acc = [u * a + v * t for a, t in zip(acc, col)]
-        g = gg
-        if g == 1:
+        if not pending:
             break
-    if acc is None or g != 1:
-        return None
-    # (acc_1..acc_l, 1) lies in the kernel: x = -sum acc_j h_j
-    return tuple((-a) % sj for a, sj in zip(acc[:l], basis.s))
+        t = len(pending)
+        hiding = HidingFunction(
+            ring=ring,
+            moduli=(basis.s[-1],) * t + basis.s,
+            combo_generators=tuple(pending) + basis.h,
+            name="element-decomposition",
+            over_basis=t,
+        )
+        try:
+            columns = provider.solve_ahsp(hiding).lattice
+        except HidingContractError as exc:  # some e x_j != 0: a wrong accept
+            raise LowConfidenceError("a non-member passed its membership test") from exc
+        for j, x in enumerate(pending):
+            head, tail = columns[j][:t], columns[j][t:]
+            if head != tuple(int(i == j) for i in range(t)):
+                continue  # no kernel vector (e_j; w): x stays pending
+            vec = tuple((-w) % sj for w, sj in zip(tail, basis.s))
+            if any(vec):
+                ok = combine_codes(chan, basis.h, vec) == x
+            else:
+                ok = chan.add(x, basis.h[0]) == basis.h[0]  # x must be the zero element
+            if ok:
+                memo[x] = vec
+        pending = [x for x in pending if x not in memo]
+    if pending:
+        raise LowConfidenceError("element decomposition did not verify")
+    return tuple(memo[x] for x in xs)
 
 
 def ideal_lattice(
@@ -206,7 +207,7 @@ def ideal_lattice(
     """Coordinate lattice (over the ambient basis) spanned by ``members``
     plus the ambient order relations."""
     lat = LatticeBuilder(len(ring_basis.s), seed_moduli=ring_basis.s)
-    for m in members:
-        lat.add(decompose_element(ring, m, ring_basis, provider))
+    for vec in decompose_elements(ring, members, ring_basis, provider):
+        lat.add(vec)
     return lat
 

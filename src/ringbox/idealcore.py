@@ -30,6 +30,7 @@ from .abelian import (
     InvariantFactorBasis,
     _basis_descriptor,
     decompose_element,
+    decompose_elements,
     decompose_group,
 )
 from .blackbox import ElementCode, RingOracle
@@ -292,31 +293,26 @@ def multiplication_tensor(
 ):
     """M[i][j][k] in [0, s_k) with h_i h_j = sum_k M[i][j][k] h_k.
 
-    One oracle multiplication plus one decomposition per (i, j) pair; a
-    product falling outside the span means the basis is not multiplicatively
-    closed.  The tensor is memoized in ``provider.tensors`` under (ring key,
-    basis): a repeat call returns it and makes no oracle query, decision or
-    random draw.
+    One oracle multiplication per (i, j) pair and one batch of element
+    decompositions per row i; a product falling outside the span means the
+    basis is not multiplicatively closed.  The tensor is memoized in
+    ``provider.tensors`` under (ring key, basis): a repeat call returns it
+    and makes no oracle query, decision or random draw.
     """
     key = (ring._key, basis.h, basis.s)
     done = provider.tensors.get(key)
     if done is not None:
         return done
-    l = len(basis.h)
     tensor = []
-    for i in range(l):
-        row = []
-        for j in range(l):
-            prod = ring.mul(basis.h[i], basis.h[j])
-            try:
-                coords = decompose_element(ring, prod, basis, provider)
-            except MembershipError as exc:
-                raise ClosureError(
-                    f"h_{i + 1} * h_{j + 1} escapes the span; "
-                    "the basis does not span a multiplicatively closed set"
-                ) from exc
-            row.append(coords)
-        tensor.append(tuple(row))
+    for i, hi in enumerate(basis.h):
+        products = [ring.mul(hi, hj) for hj in basis.h]
+        try:
+            tensor.append(decompose_elements(ring, products, basis, provider))
+        except MembershipError as exc:
+            raise ClosureError(
+                f"a product h_{i + 1} * h_j escapes the span; "
+                "the basis does not span a multiplicatively closed set"
+            ) from exc
     done = provider.tensors[key] = tuple(tensor)
     return done
 

@@ -11,24 +11,25 @@ offsets lies in L_A + L_B.  Spans are memoized per provider, and a new
 generator tuple extends the span of its longest memoized prefix; when one
 tuple is a prefix of the other, L_A + L_B is the longer span's lattice.
 Hidden subgroups are kernels of additive maps, read off one Hermite form
-(an element decomposition's map, over an independent basis plus one
-element x, off the basis span's memoized form: one preimage of x, with the
-basis images the span stores).  A map additive by construction (the ring's
-coordinates, and the intersection, colon and annihilator labels of
-``ringops``) is then certified without a random draw: every vector the
-solver adds to the moduli maps into the target, and the moduli lie in the
-kernel (the kernel's triangular columns keep their determinant when the
-moduli are added; over a basis, s_x x = 0).  Any other map (the hom
-kernel's, or any other caller-supplied ``post``) is spot-checked by random
-rounds of oracle evaluations.  The *sampled* backend consults the
-same ground truth internally but exposes only measurement-shaped data:
-swap-test shots with the correct Bernoulli law, characters drawn uniformly
-from the annihilator dual (their joint kernel is taken after reducing them
-to at most l Hermite rows, l the hiding map's dimension), and period-finding outcomes
-concentrated near multiples of q/c followed by continued-fraction
-reconstruction.  Consumers are written
-against the sample interface and never receive the hidden structure
-directly.
+(a batch of element decompositions' map, over t elements followed by an
+independent basis, off the basis span's memoized form: one preimage per
+element, with the basis images the span stores).  A map additive by
+construction (the ring's coordinates, and the intersection, colon and
+annihilator labels of ``ringops``) is then certified without a random
+draw: every vector the solver adds to the moduli maps into the target, and
+the moduli lie in the kernel (the kernel's triangular columns keep their
+determinant when the moduli are added; over a basis, e x_j = 0 for each
+element's modulus e).  Any other map (the hom kernel's, or any other
+caller-supplied ``post``) is spot-checked by random rounds of oracle
+evaluations.  The *sampled* backend consults the same ground truth
+internally but exposes only measurement-shaped data: swap-test shots with
+the correct Bernoulli law, characters drawn uniformly from the annihilator
+dual as mixed-radix combinations of its Hermite columns (their joint kernel
+is taken after reducing them to at most l Hermite rows, l the hiding map's
+dimension), and period-finding outcomes concentrated near multiples of q/c
+followed by continued-fraction reconstruction; each additive order is found
+once per provider.  Consumers are written against the sample interface and
+never receive the hidden structure directly.
 
 All ground-truth queries run on the ring's unmetered channel: a stand-in
 quantum device's internal oracle calls are not classical algorithm queries.
@@ -55,7 +56,6 @@ from .intlinalg import (
     lattice_kernel_mod,
     preimage,
     stacked_lattice,
-    subgroup_of_torus,
 )
 
 __all__ = [
@@ -144,12 +144,13 @@ class HidingFunction:
     spot-checked by evaluating the map on random oracle elements, which is
     what catches a ``post`` that is not additive.
 
-    ``over_basis`` marks a map with the default ``post`` whose combo
-    generators are an independent basis h_1..h_l, of orders moduli[:l],
-    followed by one element x (``abelian``'s element decomposition).  Its
-    kernel is the moduli plus (-n(x), 1), n(x) the coordinates of x on the
-    basis span, so the ground truth reads it off that span's memoized
-    stacked form instead of building one over all l + 1 generators.
+    ``over_basis`` is the element count t of a map with the default
+    ``post`` whose combo generators are t elements x_1..x_t followed by an
+    independent basis h_1..h_l, of orders moduli[t:] (``abelian``'s batched
+    element decomposition).  Its kernel is the moduli plus (e_j; -n(x_j)),
+    n(x) the coordinates of x on the basis span, so the ground truth reads
+    it off that span's memoized stacked form instead of building one over
+    all t + l generators.
     """
 
     ring: RingOracle
@@ -159,7 +160,7 @@ class HidingFunction:
     target: LatticeBuilder | None = None
     name: str = ""
     additive: bool = False
-    over_basis: bool = False
+    over_basis: int = 0
 
     def __post_init__(self):
         if len(self.moduli) != len(self.combo_generators):
@@ -195,11 +196,14 @@ def _annihilator(vectors, moduli) -> tuple[tuple[int, ...], ...]:
     """HNF columns of {z in Z^l : sum_j y_j z_j / m_j in Z for every y}.
 
     The vectors, scaled by big / m_j (big = lcm(moduli)), are first reduced
-    to the at most l Hermite rows of their row lattice modulo big: same kernel."""
+    to the at most l Hermite rows of their row lattice modulo big: same
+    kernel.  The rows are made canonical after each insert that grows them,
+    which keeps their entries below big (unreduced, they blow up at rank)."""
     big = lcm(*moduli)
     rows = LatticeBuilder(len(moduli), seed_moduli=[big] * len(moduli))
     for y in vectors:
-        rows.add([v * (big // m) for v, m in zip(y, moduli)])
+        if rows.add([v * (big // m) for v, m in zip(y, moduli)]):
+            rows.basis_columns()
     basis = rows.basis_columns()
     return lattice_kernel_mod(IntMatrix.from_rows(basis), [big] * len(basis))
 
@@ -302,10 +306,11 @@ class PrimitiveProvider:
         self.config = config
         self.rng = Random(fork_seed(config.seed, "provider"))
         self.stats = {"decisions": 0, "characters": 0, "orders": 0, "samples": 0}
-        # session memos, keyed per ring: spans of generator tuples, group
-        # and element decompositions (abelian), and ideal accumulations and
-        # multiplication tensors (idealcore)
+        # session memos, keyed per ring: spans of generator tuples, additive
+        # orders, group and element decompositions (abelian), and ideal
+        # accumulations and multiplication tensors (idealcore)
         self._spans: dict = {}
+        self.orders: dict = {}
         self.groups: dict = {}
         self.decomp_memo: dict = {}
         self.accumulations: dict = {}
@@ -434,26 +439,33 @@ class PrimitiveProvider:
         """The hidden subgroup's lattice over Z^l (relations and s_j e_j):
         the kernel of z -> sum_j z_j post(g_j) modulo the target.  A map
         over a basis reads it, and the basis images, off the basis span when
-        x lies in the span; the canonical Hermite form is the one the
-        stacked route gives.
+        every element lies in the span; the canonical Hermite form is the
+        one the stacked route gives.
 
         A map additive by construction is certified, drawing nothing: each
         vector added to the moduli maps into the target, and the moduli lie
         in the kernel.  Any other map is spot-checked through the oracle."""
-        gens, target = hiding.combo_generators, hiding.target
-        k = len(hiding.moduli)
+        ring, gens, target = hiding.ring, hiding.combo_generators, hiding.target
+        k, t = len(hiding.moduli), hiding.over_basis
         lattice = LatticeBuilder(k, seed_moduli=hiding.moduli)
-        n = None
-        if hiding.over_basis:
-            span = self._span(hiding.ring, gens[:-1])
-            image = hiding.ring._coords(gens[-1])
-            n = span.combination(hiding.ring, image)
-        if n is not None:
-            images = span._images + [image]
-            added = [tuple(-v for v in n) + (1,)]
-            lattice.add(added[0])
-            # decompose_group certified the basis orders; x's must hold too
-            moduli_hold = target.contains([hiding.moduli[-1] * v for v in image])
+        if t:
+            span = self._span(ring, gens[t:])
+            images = [ring._coords(x) for x in gens[:t]]
+            ns = [span.combination(ring, image) for image in images]
+        if t and None not in ns:
+            # x_j = sum_i n_ji h_i puts (e_j; -n_j) in the kernel
+            added = [
+                tuple(int(i == j) for i in range(t)) + tuple(-v for v in n)
+                for j, n in enumerate(ns)
+            ]
+            for vec in added:
+                lattice.add(vec)
+            # decompose_group certified the basis orders; the elements' must hold too
+            moduli_hold = all(
+                target.contains([s * v for v in image])
+                for s, image in zip(hiding.moduli, images)
+            )
+            images += span._images
         else:
             images = [hiding.post(g) for g in gens]
             dim = target.dim
@@ -467,7 +479,7 @@ class PrimitiveProvider:
             # the kernel's triangular columns contain every s_j e_j iff
             # seeding them with the moduli keeps their determinant
             moduli_hold = len(added) == k and prod(
-                t[j] for j, t in enumerate(added)
+                col[j] for j, col in enumerate(added)
             ) == lattice.determinant()
         if not hiding.additive:
             self._spot_check(hiding, lattice)
@@ -481,20 +493,22 @@ class PrimitiveProvider:
         self, hiding: HidingFunction, batch: int
     ) -> list[CharacterSample]:
         """Independent uniform samples from the character group annihilating
-        the hidden subgroup."""
+        the hidden subgroup: sum_i c_i b_i mod m over the dual's triangular
+        Hermite columns b_i, of pivots d_i | m_i, with c_i uniform in
+        [0, m_i / d_i) (a mixed-radix draw; Cohen, GTM 138, 2.4.3)."""
         moduli = hiding.moduli
-        l = len(moduli)
         lattice = self._hidden_subgroup_exact(hiding)
-        dual_gens, dual_orders = subgroup_of_torus(
-            _annihilator(lattice.basis_columns(), moduli), moduli
-        )
+        dual = _annihilator(lattice.basis_columns(), moduli)
+        radices = [
+            (col, m // col[i]) for i, (col, m) in enumerate(zip(dual, moduli)) if col[i] != m
+        ]
         out = []
         for _ in range(batch):
-            y = [0] * l
-            for g, o in zip(dual_gens, dual_orders):
-                c = self.rng.randrange(o)
+            y = [0] * len(moduli)
+            for col, radix in radices:
+                c = self.rng.randrange(radix)
                 if c:
-                    y = [a + c * b for a, b in zip(y, g)]
+                    y = [a + c * b for a, b in zip(y, col)]
             out.append(tuple(a % s for a, s in zip(y, moduli)))
         self.stats["characters"] += batch
         return out
@@ -538,17 +552,24 @@ class PrimitiveProvider:
 
         The sampled backend runs period finding on c (``_period_estimates``)
         and certifies each round's lcm through the metered addition oracle.
+        Orders are memoized in ``orders`` under (ring key, code): a repeat
+        call makes no draw and no query.
         """
+        c = self.orders.get((ring._key, a))
+        if c is not None:
+            return c
         self.stats["orders"] += 1
         c = ring._additive_order(a)
-        if not self.sampled or c == 1:
-            return c
-        chan = ring.metered
-        for acc in self._period_estimates(c, c):
-            # acc divides c; acc*a = 0 certifies acc = c
-            if chan.add(_double_and_add(chan.add, a, acc), a) == a:
-                return acc
-        raise LowConfidenceError("additive order did not stabilize")
+        if self.sampled and c > 1:
+            chan = ring.metered
+            for acc in self._period_estimates(c, c):
+                # acc divides c; acc*a = 0 certifies acc = c
+                if chan.add(_double_and_add(chan.add, a, acc), a) == a:
+                    break
+            else:
+                raise LowConfidenceError("additive order did not stabilize")
+        self.orders[(ring._key, a)] = c
+        return c
 
     def find_multiplicative_order_in_quotient(
         self, ring: RingOracle, label_of, size: int, r: ElementCode

@@ -18,7 +18,7 @@ from math import ceil, log
 from .abelian import (
     _basis_descriptor,
     combine_codes,
-    decompose_element,
+    decompose_elements,
     decompose_group,
     ideal_lattice,
 )
@@ -310,8 +310,7 @@ def solve_linear(
     basis = ring_rep.basis
     s = basis.s
     l = len(s)
-    a_coords = decompose_element(ring, a, basis, provider)
-    b_coords = decompose_element(ring, b, basis, provider)
+    a_coords, b_coords = decompose_elements(ring, (a, b), basis, provider)
     rows = []
     for i in range(l):
         row = []

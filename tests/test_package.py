@@ -63,3 +63,10 @@ def test_period_finding_has_one_continued_fraction_loop():
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "QuotientView"
     ]
     assert defined == []
+
+
+def test_subgroup_of_torus_called_only_for_hidden_entries():
+    # sampled characters are mixed-radix draws over the dual's Hermite
+    # columns; only the hidden-subgroup generators of ringops need the
+    # torus' independent generators
+    assert _callers("subgroup_of_torus") == [("ringops.py", "_hidden_entries")]

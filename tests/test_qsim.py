@@ -1,12 +1,20 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringbox import ringops as ops
 from ringbox import verify
-from ringbox.abelian import _decompose_via_hidden_cycle, decompose_group
+from ringbox.abelian import (
+    decompose_element,
+    decompose_elements,
+    decompose_group,
+    ideal_lattice,
+)
 from ringbox.blackbox import (
     MatrixSpec,
     ModularSpec,
@@ -15,7 +23,12 @@ from ringbox.blackbox import (
     make_ring,
     parse_element_literal,
 )
-from ringbox.errors import HidingContractError, PreconditionError
+from ringbox.errors import (
+    HidingContractError,
+    LowConfidenceError,
+    MembershipError,
+    PreconditionError,
+)
 from ringbox.idealcore import IdealSpec
 from ringbox.intlinalg import IntMatrix, LatticeBuilder, lattice_kernel_mod
 from ringbox.qsim import (
@@ -176,6 +189,32 @@ def test_annihilator_matches_unreduced_rows(l, extra, data):
     assert _annihilator(vectors, moduli) == unreduced_annihilator(vectors, moduli)
 
 
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_dual_hermite_columns_draw_each_character_once(l, data):
+    moduli = data.draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), min_size=l, max_size=l))
+    hidden = LatticeBuilder(l, seed_moduli=moduli)
+    for _ in range(data.draw(st.integers(0, 3))):
+        hidden.add([data.draw(st.integers(0, m - 1)) for m in moduli])
+    cols = hidden.basis_columns()
+    dual = _annihilator(cols, moduli)
+    # triangular, with pivots dividing the moduli
+    assert len(dual) == l
+    for i, (col, m) in enumerate(zip(dual, moduli)):
+        assert not any(col[:i]) and col[i] > 0 and m % col[i] == 0
+    # the mixed-radix box hits every dual element exactly once
+    radices = [range(m // col[i]) for i, (col, m) in enumerate(zip(dual, moduli))]
+    drawn = Counter()
+    for coeffs in itertools.product(*radices):
+        y = [sum(c * col[r] for c, col in zip(coeffs, dual)) for r in range(l)]
+        drawn[tuple(v % m for v, m in zip(y, moduli))] += 1
+    full = LatticeBuilder(l)
+    for col in unreduced_annihilator(cols, moduli):
+        full.add(col)
+    box = itertools.product(*(range(m) for m in moduli))
+    assert drawn == Counter(y for y in box if full.contains(y))
+
+
 def test_annihilator_of_a_proper_subgroup():
     # the vectors span only <(2, 0)> in Z_8 x Z_4, whose annihilator is
     # 4Z x Z
@@ -214,11 +253,7 @@ def test_sampled_solve_matches_exact_on_desk_rings():
         rec = RecordingProvider(ProviderConfig(seed=5, epsilon=1e-9))
         basis = decompose_group(ring, ring.generators, rec)  # relation lattice
         span = SubgroupDescriptor(ring, basis.h, basis=basis)
-        for _ in range(4):
-            x, _ = rec.sample_uniform(span)
-            _decompose_via_hidden_cycle(
-                ring, x, basis, rec.find_additive_order(ring, x), rec
-            )
+        decompose_elements(ring, [rec.sample_uniform(span)[0] for _ in range(4)], basis, rec)
         assert {h.name for h in rec.hidings} == {"relation-lattice", "element-decomposition"}
         exact = provider(seed=6, epsilon=1e-9)
         sampled = provider("sampled", seed=6, epsilon=1e-9)
@@ -272,7 +307,7 @@ def assert_span_route_matches_stacked(hiding, seed=6):
     by_stack = provider(seed=seed, epsilon=1e-9)
     assert by_span.solve_ahsp(hiding) == by_stack.solve_ahsp(stacked_twin(hiding))
     assert by_span.rng.getstate() == by_stack.rng.getstate()
-    basis_key = (hiding.ring._key, hiding.combo_generators[:-1])
+    basis_key = (hiding.ring._key, hiding.combo_generators[hiding.over_basis :])
     assert basis_key in by_span._spans and basis_key not in by_stack._spans
 
 
@@ -289,7 +324,7 @@ def test_coordinate_spot_check_matches_oracle_path_on_desk_rings():
             state = by_coords.rng.getstate()
             assert by_coords.solve_ahsp(hiding) == by_oracle.solve_ahsp(twin)
             assert by_coords.rng.getstate() == state  # the certificate draws nothing
-            assert hiding.over_basis == (hiding.name == "element-decomposition")
+            assert bool(hiding.over_basis) == (hiding.name == "element-decomposition")
             if hiding.over_basis:
                 assert_span_route_matches_stacked(hiding)
     assert names == {
@@ -314,28 +349,89 @@ def test_span_route_matches_stacked_route_on_small_rings(spec, seed):
     p = provider(seed=seed)
     basis = decompose_group(ring, ring.generators, p)
     span = SubgroupDescriptor(ring, basis.h, basis=basis)
-    for _ in range(3):
-        x, _ = p.sample_uniform(span)
-        hiding = HidingFunction(
-            ring=ring,
-            moduli=basis.s + (ring._additive_order(x),),
-            combo_generators=basis.h + (x,),
-            over_basis=True,
-        )
-        assert_span_route_matches_stacked(hiding, seed=seed)
+    xs = tuple(p.sample_uniform(span)[0] for _ in range(3))
+    hiding = HidingFunction(
+        ring=ring,
+        moduli=(max(basis.s, default=1),) * len(xs) + basis.s,
+        combo_generators=xs + basis.h,
+        over_basis=len(xs),
+    )
+    assert_span_route_matches_stacked(hiding, seed=seed)
 
 
 def test_span_route_falls_back_outside_the_span():
     r = ring_z12()
-    four, one = codes(r, 4, 1)  # <4> has order 3 and misses 1
+    one, eight, four = codes(r, 1, 8, 4)  # <4> has order 3 and misses 1
     hiding = HidingFunction(
-        ring=r, moduli=(3, 12), combo_generators=(four, one), over_basis=True
+        ring=r, moduli=(12, 3), combo_generators=(one, four), over_basis=1
     )
     sub = provider().solve_ahsp(hiding)
     assert sub == provider().solve_ahsp(stacked_twin(hiding))
-    # the kernel of z -> 4 z_1 + z_2: (1, -4) and 12 e_2 span it, not (-n, 1)
+    # the kernel of z -> z_1 + 4 z_2: (-4, 1) and 12 e_1 span it, not (1, -n)
     assert sub.order == 3
-    assert in_subgroup(sub, (1, 8)) and not in_subgroup(sub, (1, 0))
+    assert in_subgroup(sub, (8, 1)) and not in_subgroup(sub, (0, 1))
+    # one element outside the span sends the whole batch the stacked way
+    batch = HidingFunction(
+        ring=r, moduli=(12, 12, 3), combo_generators=(eight, one, four), over_basis=2
+    )
+    assert provider().solve_ahsp(batch) == provider().solve_ahsp(stacked_twin(batch))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_specs(), st.integers(0, 1 << 20), st.sampled_from(("exact", "sampled")))
+def test_batched_decomposition_matches_single_elements(spec, seed, backend):
+    ring = make_ring(spec, seed)
+    basis = decompose_group(ring, ring.generators, provider(seed=seed))
+    span = SubgroupDescriptor(ring, basis.h, basis=basis)
+    draw = provider(seed=seed)
+    xs = [draw.sample_uniform(span)[0] for _ in range(3)]
+    xs += [ring._zero_code(), xs[0]]  # the zero element and a repeat
+    batched = provider(backend, seed=seed, epsilon=1e-9)
+    single = provider(backend, seed=seed + 1, epsilon=1e-9)
+    got = decompose_elements(ring, xs, basis, batched)
+    assert got == tuple(decompose_element(ring, x, basis, single) for x in xs)
+
+
+def test_batch_with_an_outsider_raises_before_any_solve():
+    r = ring_z12()
+    for backend in ("exact", "sampled"):
+        p = RecordingProvider(ProviderConfig(backend=backend, seed=5))
+        basis = decompose_group(r, codes(r, 4), p)  # <4> = {0, 4, 8}
+        solves = len(p.hidings)
+        eight, one = codes(r, 8, 1)
+        with pytest.raises(MembershipError):
+            decompose_elements(r, (eight, one), basis, p)
+        assert len(p.hidings) == solves
+        memo = p.decomp_memo[(r._key, basis.h, basis.s)]
+        assert eight not in memo and one not in memo
+        decompose_element(r, eight, basis, p)  # the member alone decomposes
+        assert list(memo) == [eight]
+
+
+class AcceptingProvider(PrimitiveProvider):
+    """A provider whose membership test accepts every element, as a wrong
+    sampled accept would."""
+
+    def membership(self, x, sub):
+        return True
+
+
+def test_a_wrongly_accepted_non_member_has_low_confidence():
+    # 1 is not killed by e = 3 over <4> in Z_12, so the batch map breaks its
+    # contract; (0, 1) is killed by e = 2 over <(1, 0)> in Z_2 x Z_2, but
+    # the kernel has no column (e_1; w)
+    z2xz2 = make_ring(ProductSpec((ModularSpec(2), ModularSpec(2))), 1)
+    for ring, gen, outsider in ((ring_z12(), "4", "1"), (z2xz2, "(1, 0)", "(0, 1)")):
+        p = AcceptingProvider(ProviderConfig(backend="sampled", seed=5, epsilon=1e-3))
+        basis = decompose_group(ring, (parse_element_literal(ring, gen),), p)
+        with pytest.raises(LowConfidenceError):
+            decompose_element(ring, parse_element_literal(ring, outsider), basis, p)
 
 
 def test_basis_marker_needs_the_default_post():
@@ -348,7 +444,7 @@ def test_basis_marker_needs_the_default_post():
             combo_generators=(four, two),
             post=r._coords,
             target=LatticeBuilder(1, seed_moduli=(12,)),
-            over_basis=True,
+            over_basis=1,
         )
 
 
@@ -441,9 +537,9 @@ def test_certificate_rejects_a_wrong_modulus_over_a_basis():
     for s, ok in ((3, True), (6, True), (2, False), (4, False)):
         hiding = HidingFunction(
             ring=r,
-            moduli=basis.s + (s,),
-            combo_generators=basis.h + (four,),
-            over_basis=True,
+            moduli=(s,) + basis.s,
+            combo_generators=(four,) + basis.h,
+            over_basis=1,
         )
         if ok:
             assert p.solve_ahsp(hiding) == p.solve_ahsp(stacked_twin(hiding))
@@ -530,6 +626,72 @@ def test_find_additive_order_examples():
     e11 = parse_element_literal(m, "1,0;0,0")
     assert provider().find_additive_order(m, e11) == 2
     assert provider("sampled").find_additive_order(m, e11) == 2
+
+
+class RecordingRandom(Random):
+    """A Random from a given state that keeps the arguments of every
+    randrange call."""
+
+    def __init__(self, state):
+        super().__init__()
+        self.setstate(state)
+        self.ranges = []
+
+    def randrange(self, *args):
+        self.ranges.append(args)
+        return super().randrange(*args)
+
+
+def replayed(state, ranges):
+    """The state a fresh Random from ``state`` reaches after these
+    randrange calls and no other draw."""
+    twin = Random()
+    twin.setstate(state)
+    for args in ranges:
+        twin.randrange(*args)
+    return twin.getstate()
+
+
+def test_sampled_order_finders_pin_their_draws():
+    # additive: outcomes j below the period c = 100, three rounds at this
+    # seed, each certified through the metered oracle (24 adds in all)
+    r = make_ring(ModularSpec(100), 5)
+    p = provider("sampled", seed=3)
+    start = p.rng.getstate()
+    p.rng = RecordingRandom(start)
+    (one,) = codes(r, 1)
+    assert p.find_additive_order(r, one) == 100
+    assert p.rng.ranges == [(100,)] * 3
+    assert p.rng.getstate() == replayed(start, p.rng.ranges)
+    assert r.ledger.snapshot() == (24, 0)
+
+    # multiplicative, on Z_202 / (101) = Z_101 of 101 cosets: outcomes
+    # below the period 100 of 2, not below the coset count; two rounds at
+    # this seed, and only the last one certified (9 metered muls for 2^101)
+    r = make_ring(ModularSpec(202), 5)
+    p = provider("sampled", seed=1)
+    basis = decompose_group(r, r.generators, p)
+    hundred_one, two = codes(r, 101, 2)
+    labels = coset_labels(r, basis, ideal_lattice(r, (hundred_one,), basis, p), p)
+    assert labels[1] == 101
+    start, before = p.rng.getstate(), r.ledger.snapshot()
+    p.rng = RecordingRandom(start)
+    assert p.find_multiplicative_order_in_quotient(r, *labels, two) == 100
+    assert p.rng.ranges == [(100,)] * 2
+    assert p.rng.getstate() == replayed(start, p.rng.ranges)
+    assert r.ledger.snapshot() == (before[0], before[1] + 9)
+
+
+def test_memoized_additive_order_draws_and_queries_nothing():
+    r = make_ring(ModularSpec(100), 5)
+    for backend in ("exact", "sampled"):
+        p = provider(backend, seed=3)
+        (one,) = codes(r, 1)
+        assert p.find_additive_order(r, one) == 100
+        seen = (p.rng.getstate(), r.ledger.snapshot(), dict(p.stats))
+        assert p.find_additive_order(r, one) == 100
+        assert (p.rng.getstate(), r.ledger.snapshot(), p.stats) == seen
+        assert p.orders == {(r._key, one): 100}
 
 
 def test_additive_order_matches_brute_force_both_backends():
