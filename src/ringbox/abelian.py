@@ -144,23 +144,25 @@ def decompose_elements(
 ) -> tuple[tuple[int, ...], ...]:
     """The coefficients of ``decompose_element`` for each x in ``xs``.
 
-    Each element not yet memoized passes a membership decision, all of them
-    before any solve (MembershipError for the first outside the span).  One
-    hidden-subgroup instance then covers the t pending elements, on
-    Z_e^t x Z_{s_1} x ... x Z_{s_l} with e = s_l, which kills every member
-    (Cheung & Mosca, quant-ph/0101004): the kernel of
-    (z, y) -> sum_j z_j x_j + sum_i y_i h_i has one canonical Hermite
-    column (e_j; w_j) per element, and x_j = -sum_i w_ji h_i.  Each answer
-    is verified by a combination through the metered oracle; the sampled
-    backend solves the unverified ones again.  Answers are memoized per
-    basis.
+    Each element not yet memoized passes a membership decision before any
+    solve (MembershipError for the first outsider, ``index`` its place in
+    ``xs``).  One hidden-subgroup instance on Z_e^t x Z_{s_1} x ... x Z_{s_l},
+    e = max s_i, covers the t pending elements: e kills every member, and
+    the kernel of (z, y) -> sum_j z_j x_j + sum_i y_i h_i has one canonical
+    Hermite column (e_j; w_j) per element, x_j = -sum_i w_ji h_i (Cheung &
+    Mosca, quant-ph/0101004).  Each answer is verified by a combination
+    through the metered oracle; the sampled backend solves the unverified
+    ones again.  Answers are memoized per basis.
     """
+    xs = tuple(xs)  # read twice: the pending elements, then the answers
     memo = provider.decomp_memo.setdefault((ring._key, basis.h, basis.s), {})
     pending = list(dict.fromkeys(x for x in xs if x not in memo))
     desc = _basis_descriptor(ring, basis)
     for x in pending:
         if not provider.membership(x, desc):
-            raise MembershipError("element lies outside the spanned group")
+            exc = MembershipError("element lies outside the spanned group")
+            exc.index = xs.index(x)
+            raise exc
     if not basis.s:  # the trivial group: every member is zero
         memo.update(dict.fromkeys(pending, ()))
         pending = []
@@ -172,7 +174,7 @@ def decompose_elements(
         t = len(pending)
         hiding = HidingFunction(
             ring=ring,
-            moduli=(basis.s[-1],) * t + basis.s,
+            moduli=(max(basis.s),) * t + basis.s,
             combo_generators=tuple(pending) + basis.h,
             name="element-decomposition",
             over_basis=t,
@@ -182,10 +184,9 @@ def decompose_elements(
         except HidingContractError as exc:  # some e x_j != 0: a wrong accept
             raise LowConfidenceError("a non-member passed its membership test") from exc
         for j, x in enumerate(pending):
-            head, tail = columns[j][:t], columns[j][t:]
-            if head != tuple(int(i == j) for i in range(t)):
+            if columns[j][:t] != tuple(int(i == j) for i in range(t)):
                 continue  # no kernel vector (e_j; w): x stays pending
-            vec = tuple((-w) % sj for w, sj in zip(tail, basis.s))
+            vec = tuple((-w) % sj for w, sj in zip(columns[j][t:], basis.s))
             if any(vec):
                 ok = combine_codes(chan, basis.h, vec) == x
             else:

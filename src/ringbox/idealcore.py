@@ -310,7 +310,7 @@ def multiplication_tensor(
             tensor.append(decompose_elements(ring, products, basis, provider))
         except MembershipError as exc:
             raise ClosureError(
-                f"a product h_{i + 1} * h_j escapes the span; "
+                f"h_{i + 1} * h_{exc.index + 1} escapes the span; "
                 "the basis does not span a multiplicatively closed set"
             ) from exc
     done = provider.tensors[key] = tuple(tensor)

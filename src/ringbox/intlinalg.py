@@ -5,9 +5,8 @@ image lattices the package uses: ``stacked_lattice`` stacks the images over a
 target lattice, ``lattice_kernel_mod`` reads a modular kernel off it, and
 ``preimage`` a particular solution (``solve_modular``, span coordinates).
 The Smith form serves only ``invariant_factors``: the group decomposition,
-the field test and ``subgroup_of_torus``, which gives ``ringops`` a hidden
-subgroup's generators (sampled characters need no Smith form: they are
-mixed-radix draws over the dual's Hermite columns).
+the field test and ``subgroup_of_torus`` (a hidden subgroup's generators
+for ``ringops``; sampled characters are drawn over Hermite columns).
 
 ``is_prime`` (deterministic Miller-Rabin) serves the ring validation and the
 field test behind ``prime``; ``factorize`` and ``euler_phi`` (trial division)

@@ -10,17 +10,16 @@ coords(g_j) and the moduli m_i e_i, so |A| = prod(m_i) / det(L_A) and
 offsets lies in L_A + L_B.  Spans are memoized per provider, and a new
 generator tuple extends the span of its longest memoized prefix; when one
 tuple is a prefix of the other, L_A + L_B is the longer span's lattice.
-Hidden subgroups are kernels of additive maps, read off one Hermite form
-(a batch of element decompositions' map, over t elements followed by an
-independent basis, off the basis span's memoized form: one preimage per
-element, with the basis images the span stores).  A map additive by
-construction (the ring's coordinates, and the intersection, colon and
-annihilator labels of ``ringops``) is then certified without a random
-draw: every vector the solver adds to the moduli maps into the target, and
-the moduli lie in the kernel (the kernel's triangular columns keep their
-determinant when the moduli are added; over a basis, e x_j = 0 for each
-element's modulus e).  Any other map (the hom kernel's, or any other
-caller-supplied ``post``) is spot-checked by random rounds of oracle
+Hidden subgroups are kernels of additive maps, read off one Hermite form (a
+batch of element decompositions' map off the basis span's memoized form:
+one preimage per element, with the basis images the span stores).  A map
+additive by construction (the ring's coordinates, and the intersection,
+colon and annihilator labels of ``ringops``) is then certified without a
+random draw: every vector the solver adds to the moduli maps into the
+target, and the moduli lie in the kernel (the kernel's triangular columns
+keep their determinant when the moduli are added; over a basis, e x_j = 0
+for each element's modulus e).  Any other map (the hom kernel's, or any
+other caller-supplied ``post``) is spot-checked by random rounds of oracle
 evaluations.  The *sampled* backend consults the same ground truth
 internally but exposes only measurement-shaped data: swap-test shots with
 the correct Bernoulli law, characters drawn uniformly from the annihilator
@@ -169,6 +168,8 @@ class HidingFunction:
             raise PreconditionError("hiding moduli must be positive")
         if (self.post is None) != (self.target is None):
             raise PreconditionError("a hiding map needs both post and target")
+        if not 0 <= self.over_basis <= len(self.moduli):
+            raise PreconditionError("a hiding map's element count must lie in [0, len(moduli)]")
         if self.over_basis and self.post is not None:
             raise PreconditionError("a hiding map over a basis takes the default post")
         if self.post is None:
@@ -197,8 +198,7 @@ def _annihilator(vectors, moduli) -> tuple[tuple[int, ...], ...]:
 
     The vectors, scaled by big / m_j (big = lcm(moduli)), are first reduced
     to the at most l Hermite rows of their row lattice modulo big: same
-    kernel.  The rows are made canonical after each insert that grows them,
-    which keeps their entries below big (unreduced, they blow up at rank)."""
+    kernel.  Each insert that grows the rows makes them canonical again."""
     big = lcm(*moduli)
     rows = LatticeBuilder(len(moduli), seed_moduli=[big] * len(moduli))
     for y in vectors:

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from ringbox.abelian import (
+    InvariantFactorBasis,
     combine_codes,
     decompose_element,
+    decompose_elements,
     decompose_group,
     ideal_lattice,
     present_group,
@@ -128,6 +130,34 @@ def test_decompose_element_membership_error():
     (two,) = codes(r, 2)
     with pytest.raises(MembershipError):
         decompose_element(r, two, basis4, p)
+
+
+def test_decompositions_read_a_generator_of_elements_once():
+    r = make_ring(ModularSpec(12), 9)
+    basis = decompose_group(r, r.generators, provider())
+    xs = codes(r, 3, 8, 3)
+    got = decompose_elements(r, (x for x in xs), basis, provider())
+    assert got == decompose_elements(r, xs, basis, provider()) == ((3,), (8,), (3,))
+    lat = ideal_lattice(r, (x for x in codes(r, 4)), basis, provider())
+    assert lat.determinant() == 4  # |Z_12 / (4)|, not the moduli's 12
+
+
+@pytest.mark.parametrize("backend", ["exact", "sampled"])
+def test_decompose_elements_over_a_basis_in_any_order(backend):
+    # the batch modulus max(s) kills every member whatever the basis order
+    r = make_ring(ProductSpec((ModularSpec(2), ModularSpec(4))), 3)
+    p = provider(backend, seed=4, epsilon=1e-6)
+    basis = decompose_group(r, r.generators, p)
+    assert basis.s == (2, 4)
+    flipped = InvariantFactorBasis(
+        basis.h[::-1],
+        basis.s[::-1],
+        basis.to_original[::-1],
+        tuple(row[::-1] for row in basis.from_original),
+    )
+    xs = sorted(ring_elements(r), key=lambda c: c.bits)
+    got = decompose_elements(r, xs, flipped, p)
+    assert got == tuple(n[::-1] for n in decompose_elements(r, xs, basis, p))
 
 
 def test_decompose_round_trip_1000_random():

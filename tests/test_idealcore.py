@@ -137,8 +137,15 @@ def test_tensor_closure_error():
     p = provider()
     x = parse_element_literal(f4, "[0, 1]")
     basis = decompose_group(f4, (x,), p)  # {0, x} not multiplicatively closed
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError, match=r"h_1 \* h_1 escapes"):
         multiplication_tensor(f4, basis, p)
+    # {E12, E21} in M_2(Z_2): E12 E12 = 0 lies in the span, E12 E21 = E11 not
+    m = make_ring(MatrixSpec(2, ModularSpec(2)), 1)
+    gens = (parse_element_literal(m, "0,1;0,0"), parse_element_literal(m, "0,0;1,0"))
+    basis = decompose_group(m, gens, p)
+    assert basis.h == gens
+    with pytest.raises(ClosureError, match=r"h_1 \* h_2 escapes"):
+        multiplication_tensor(m, basis, p)
 
 
 def test_augmentation_doubling_and_round_bound():

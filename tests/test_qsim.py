@@ -405,8 +405,9 @@ def test_batch_with_an_outsider_raises_before_any_solve():
         basis = decompose_group(r, codes(r, 4), p)  # <4> = {0, 4, 8}
         solves = len(p.hidings)
         eight, one = codes(r, 8, 1)
-        with pytest.raises(MembershipError):
+        with pytest.raises(MembershipError) as info:
             decompose_elements(r, (eight, one), basis, p)
+        assert info.value.index == 1  # the outsider's place in the batch
         assert len(p.hidings) == solves
         memo = p.decomp_memo[(r._key, basis.h, basis.s)]
         assert eight not in memo and one not in memo
@@ -445,6 +446,15 @@ def test_basis_marker_needs_the_default_post():
             post=r._coords,
             target=LatticeBuilder(1, seed_moduli=(12,)),
             over_basis=1,
+        )
+
+
+@pytest.mark.parametrize("over_basis", [-1, 3])
+def test_basis_marker_counts_at_most_the_generators(over_basis):
+    r = ring_z12()
+    with pytest.raises(PreconditionError):
+        HidingFunction(
+            ring=r, moduli=(3, 6), combo_generators=codes(r, 4, 2), over_basis=over_basis
         )
 
 
