@@ -4,6 +4,8 @@ The incremental Hermite form (``LatticeBuilder``) computes the kernel and
 image lattices the package uses: ``stacked_lattice`` stacks the images over a
 target lattice, ``lattice_kernel_mod`` reads a modular kernel off it, and
 ``preimage`` a particular solution (``solve_modular``, span coordinates).
+``LatticeBuilder.padded`` embeds a form in more coordinates, so a stacked
+form grows by one column per new image instead of being rebuilt.
 The Smith form serves only ``invariant_factors``: the group decomposition,
 the field test and ``subgroup_of_torus`` (a hidden subgroup's generators
 for ``ringops``; sampled characters are drawn over Hermite columns).
@@ -159,33 +161,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionError("matmul shape mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def apply(self, vec) -> tuple[int, ...]:
-        vec = tuple(vec)
-        if len(vec) != self.cols:
-            raise DimensionError("vector length mismatch")
-        return tuple(
-            sum(self.at(i, k) * vec[k] for k in range(self.cols))
-            for i in range(self.rows)
-        )
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.at(i, j) == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -207,9 +182,9 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
     """Diagonalize over Z by unimodular row/column operations."""
     m, n = a.rows, a.cols
     M = a.to_rows()
-    U = IntMatrix.identity(m).to_rows()
-    Ui = IntMatrix.identity(m).to_rows()
-    V = IntMatrix.identity(n).to_rows()
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    Ui = [row[:] for row in U]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_add(i, j, k):  # row_i += k*row_j
         Mi, Mj = M[i], M[j]
@@ -301,12 +276,10 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
             best = smallest_nonzero(t)
         t += 1
 
-    return SNFResult(
-        U=IntMatrix.from_rows(U) if m else IntMatrix.zeros(0, 0),
-        D=IntMatrix.from_rows(M) if m and n else IntMatrix.zeros(m, n),
-        V=IntMatrix.from_rows(V) if n else IntMatrix.zeros(0, 0),
-        u_inv=IntMatrix.from_rows(Ui) if m else IntMatrix.zeros(0, 0),
-    )
+    def wrap(rows, cols):
+        return IntMatrix(len(rows), cols, tuple(v for row in rows for v in row))
+
+    return SNFResult(U=wrap(U, m), D=wrap(M, n), V=wrap(V, n), u_inv=wrap(Ui, m))
 
 
 class LatticeBuilder:
@@ -336,6 +309,15 @@ class LatticeBuilder:
         """An independent builder over the same lattice."""
         twin = LatticeBuilder(self.dim)
         twin._pivots = dict(self._pivots)
+        return twin
+
+    def padded(self, extra: int) -> "LatticeBuilder":
+        """An independent builder over the same lattice embedded in
+        Z^(dim + extra): every pivot gains ``extra`` zero tail entries and
+        keeps its row."""
+        twin = LatticeBuilder(self.dim + extra)
+        tail = [0] * extra
+        twin._pivots = {r: piv + tail for r, piv in self._pivots.items()}
         return twin
 
     def add(self, vec) -> bool:
@@ -399,7 +381,24 @@ class LatticeBuilder:
         return tuple(v)
 
     def contains(self, vec) -> bool:
-        return all(t == 0 for t in self.reduce(vec))
+        """True iff vec lies in the lattice: walking the rows in order, each
+        nonzero entry must be divisible by its row's pivot (pivots vanish
+        above their own row, so a later pivot never changes it)."""
+        v = list(vec)
+        if len(v) != self.dim:
+            raise DimensionError("vector length != dim")
+        for r in range(self.dim):
+            vr = v[r]
+            if vr == 0:
+                continue
+            piv = self._pivots.get(r)
+            if piv is None:
+                return False
+            q, rem = divmod(vr, piv[r])
+            if rem:
+                return False
+            v = [a - q * b for a, b in zip(v, piv)]
+        return True
 
     def determinant(self) -> int:
         """Index of the lattice in Z^dim (product of pivots; full rank only)."""

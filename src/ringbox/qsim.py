@@ -10,9 +10,12 @@ coords(g_j) and the moduli m_i e_i, so |A| = prod(m_i) / det(L_A) and
 offsets lies in L_A + L_B.  Spans are memoized per provider, and a new
 generator tuple extends the span of its longest memoized prefix; when one
 tuple is a prefix of the other, L_A + L_B is the longer span's lattice.
-Hidden subgroups are kernels of additive maps, read off one Hermite form (a
-batch of element decompositions' map off the basis span's memoized form:
-one preimage per element, with the basis images the span stores).  A map
+A span's stacked Hermite form extends its parent's in the same way (one
+new column per generator past the prefix).  Hidden subgroups are kernels
+of additive maps, read off one Hermite form: a generator tuple's relation
+lattice off the zero-head columns of its span's stacked form, and a batch
+of element decompositions' map off the basis span's memoized form (one
+preimage per element, with the basis images the span stores).  A map
 additive by construction (the ring's coordinates, and the intersection,
 colon and annihilator labels of ``ringops``) is then certified without a
 random draw: every vector the solver adds to the moduli maps into the
@@ -37,7 +40,7 @@ quantum device's internal oracle calls are not classical algorithm queries.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm, log, prod, sqrt
 from random import Random
@@ -149,7 +152,9 @@ class HidingFunction:
     element decomposition).  Its kernel is the moduli plus (e_j; -n(x_j)),
     n(x) the coordinates of x on the basis span, so the ground truth reads
     it off that span's memoized stacked form instead of building one over
-    all t + l generators.
+    all t + l generators.  A map with the default ``post`` and no elements
+    is a relation lattice (``present_group``): its kernel is read off the
+    stacked form of the generators' own memoized span.
     """
 
     ring: RingOracle
@@ -160,6 +165,7 @@ class HidingFunction:
     name: str = ""
     additive: bool = False
     over_basis: int = 0
+    _relations: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.moduli) != len(self.combo_generators):
@@ -176,6 +182,7 @@ class HidingFunction:
             object.__setattr__(self, "post", self.ring._coords)
             object.__setattr__(self, "target", _moduli_lattice(self.ring))
             object.__setattr__(self, "additive", True)
+            object.__setattr__(self, "_relations", not self.over_basis)
 
     def label_of(self, code: ElementCode):
         return self.target.reduce(self.post(code))
@@ -232,8 +239,11 @@ class _Span:
     generators (the moduli lattice alone when None): it copies the parent's
     lattice and images and adds only the coordinates of the generators past
     the prefix.  The stacked Hermite form of the coords(g_j) over the
-    moduli (its heads span L, its tails track the combination) is built on
-    the first ``combination`` call; overlaps read only L."""
+    moduli (its heads span L, its tails track the combination, and its
+    zero-head columns are the generators' relation lattice) is built on
+    first use; when the parent already has one, it is the parent's padded
+    with zero tails plus one column per generator past the prefix.
+    Overlaps read only L."""
 
     def __init__(self, ring: RingOracle, gens, parent: "_Span | None" = None):
         self.dim = len(ring.spec._moduli)
@@ -247,14 +257,28 @@ class _Span:
             self.lattice.add(image)
         self.columns = self.lattice.basis_columns()
         self.order = ring._ring_size() // self.lattice.determinant()
+        self._parent = parent
         self._stacked = None
+
+    def stacked(self, ring: RingOracle) -> LatticeBuilder:
+        """The Hermite form over Z^(dim + k) of the columns (m_i e_i; 0) and
+        (coords(g_j); e_j), k the generator count."""
+        if self._stacked is None:
+            parent = self._parent
+            if parent is None or parent._stacked is None:
+                self._stacked = stacked_lattice(self._images, _moduli_lattice(ring))
+            else:
+                k, done = len(self._images), len(parent._images)
+                lat = parent._stacked.padded(k - done)
+                for j in range(done, k):
+                    lat.add(self._images[j] + tuple(int(i == j) for i in range(k)))
+                self._stacked = lat
+        return self._stacked
 
     def combination(self, ring: RingOracle, image):
         """Some n with sum_j n_j coords(g_j) = image modulo the moduli, or
         None when the element of those coordinates lies outside the span."""
-        if self._stacked is None:
-            self._stacked = stacked_lattice(self._images, _moduli_lattice(ring))
-        return preimage(self._stacked, self.dim, image)
+        return preimage(self.stacked(ring), self.dim, image)
 
     def coordinates(self, ring: RingOracle, code: ElementCode, orders):
         """n with code = sum_j n_j g_j and 0 <= n_j < orders[j], for
@@ -440,7 +464,8 @@ class PrimitiveProvider:
         the kernel of z -> sum_j z_j post(g_j) modulo the target.  A map
         over a basis reads it, and the basis images, off the basis span when
         every element lies in the span; the canonical Hermite form is the
-        one the stacked route gives.
+        one the stacked route gives.  A relation lattice reads the stacked
+        form and the images off its generators' span.
 
         A map additive by construction is certified, drawing nothing: each
         vector added to the moduli maps into the target, and the moduli lie
@@ -467,13 +492,14 @@ class PrimitiveProvider:
             )
             images += span._images
         else:
-            images = [hiding.post(g) for g in gens]
+            if hiding._relations:  # the span stores the images and the form
+                span = self._span(ring, gens)
+                images, stacked = span._images, span.stacked(ring)
+            else:
+                images = [hiding.post(g) for g in gens]
+                stacked = stacked_lattice(images, target)
             dim = target.dim
-            added = [
-                col[dim:]
-                for col in stacked_lattice(images, target).basis_columns()
-                if not any(col[:dim])
-            ]
+            added = [col[dim:] for col in stacked.basis_columns() if not any(col[:dim])]
             for vec in added:
                 lattice.add(vec)
             # the kernel's triangular columns contain every s_j e_j iff

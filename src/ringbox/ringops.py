@@ -172,9 +172,10 @@ def _label_map(coords, lattice: LatticeBuilder, maps, additive: bool):
         return tuple(c for f in maps for c in coords(f(code)))
 
     copies, dim = len(maps), lattice.dim
+    columns = lattice.basis_columns()
     target = LatticeBuilder(dim * copies)
     for b in range(copies):
-        for col in lattice.basis_columns():
+        for col in columns:
             target.add((0,) * (b * dim) + col + (0,) * ((copies - b - 1) * dim))
     return post, target, additive
 

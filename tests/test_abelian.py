@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ringbox import qsim
 from ringbox.abelian import (
     InvariantFactorBasis,
     combine_codes,
@@ -20,7 +21,7 @@ from ringbox.blackbox import (
     parse_element_literal,
 )
 from ringbox.errors import MembershipError
-from ringbox.intlinalg import subgroup_of_torus
+from ringbox.intlinalg import stacked_lattice, subgroup_of_torus
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
 from ringbox.verify import additive_span, ring_elements
 from test_acceptance import DESK_SUITE
@@ -251,6 +252,29 @@ def test_decompose_group_orders_match_pure_lattice_route():
             gens = tuple(rng.choice(elems) for _ in range(rng.randint(1, 3)))
             _, orders = subgroup_of_torus([r._coords(g) for g in gens], spec._moduli)
             assert decompose_group(r, gens, p).s == orders
+
+
+@pytest.mark.parametrize("backend", ("exact", "sampled"))
+def test_present_group_reads_an_extended_span(backend, monkeypatch):
+    # an accumulation round presents the previous round's entries plus one:
+    # the relation lattice comes off the span's stacked form, extended from
+    # the memoized prefix's, with no Hermite form stacked from scratch
+    rng = random.Random(0x5A)
+    for _, spec in DESK_SUITE + [(None, PolyQuotSpec(2, (0,) * 10 + (1,)))]:
+        r = make_ring(spec, 6)
+        elems = [r._encode(spec.element_at(rng.randrange(spec.order()))) for _ in range(5)]
+        p = provider(backend)
+        for cut in range(1, 3):
+            present_group(r, elems[:cut], p)
+        calls = []
+        monkeypatch.setattr(
+            qsim, "stacked_lattice", lambda *a: calls.append(a) or stacked_lattice(*a)
+        )
+        warm = [present_group(r, elems[:cut], p) for cut in range(3, 6)]
+        monkeypatch.undo()
+        assert calls == []
+        for cut, pres in zip(range(3, 6), warm):
+            assert pres == present_group(r, elems[:cut], provider(backend))
 
 
 BACKENDS = ("exact", "sampled")

@@ -26,6 +26,8 @@ from ringbox.idealcore import IdealSpec, find_basis_representation
 from ringbox.intlinalg import IntMatrix, smith_normal_form, solve_modular
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
 
+from matrix_algebra import matmul
+
 DESK_SUITE = [
     ("Z_6", ModularSpec(6)),
     ("Z_12", ModularSpec(12)),
@@ -390,7 +392,7 @@ def test_criterion_6_linear_algebra():
         n = rng.randint(1, 8)
         a = IntMatrix(m, n, tuple(rng.randint(-(10**6), 10**6) for _ in range(m * n)))
         snf = smith_normal_form(a)
-        assert snf.U.matmul(a).matmul(snf.V).entries == snf.D.entries
+        assert matmul(matmul(snf.U, a), snf.V).entries == snf.D.entries
         d = [v for v in snf.diagonal() if v]
         for x, y in zip(d, d[1:]):
             assert y % x == 0

@@ -11,11 +11,13 @@ import itertools
 import random
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from ringbox import qsim
 from ringbox import ringops as ops
 from ringbox import verify
 from ringbox.blackbox import (
@@ -448,6 +450,51 @@ def test_span_extension_on_desk_rings():
 @given(small_specs(), st.integers(0, 1 << 20))
 def test_span_extension_on_nested_specs(spec, seed):
     check_span_extension(spec, seed)
+
+
+F2_X10 = PolyQuotSpec(2, (0,) * 10 + (1,))
+
+
+def pivot_snapshot(lat):
+    return {r: tuple(piv) for r, piv in lat._pivots.items()}
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(F2_X10, 9)
+@example(MATRIX_OVER_PRODUCT, 10)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_stacked_form_extends_the_parent_span(spec, seed):
+    """Along a chain of generator tuples, each span's stacked form is its
+    parent's padded plus the new columns: the same canonical form as one
+    stacked from scratch, with the parent's pivots left as they were and
+    only the root stacked from scratch."""
+    ring = make_ring(spec, seed)
+    rng = random.Random(seed)
+    elems = [ring._encode(spec.element_at(rng.randrange(spec.order()))) for _ in range(8)]
+    p = exact(seed)
+    chain = tuple(rng.choice(elems) for _ in range(rng.randint(2, 6)))
+    with mock.patch.object(qsim, "stacked_lattice", wraps=stacked_lattice) as scratch:
+        parent = None
+        for cut in range(1, len(chain) + 1):
+            span = p._span(ring, chain[:cut])
+            assert span._parent is parent
+            if parent is not None:
+                if rng.random() < 0.5:  # a relation lattice read it
+                    parent.stacked(ring).basis_columns()
+                before = pivot_snapshot(parent.stacked(ring))
+            ext = span.stacked(ring)
+            if parent is not None:
+                assert pivot_snapshot(parent.stacked(ring)) == before
+            fresh = stacked_lattice(span._images, _moduli_lattice(ring))
+            assert ext.basis_columns() == fresh.basis_columns()
+            parent = span
+    assert scratch.call_count == 1
 
 
 # -- the field test behind `prime` --------------------------------------------

@@ -23,12 +23,14 @@ from ringbox.intlinalg import (
     subgroup_of_torus,
 )
 
+from matrix_algebra import apply, is_diagonal, matmul
+
 
 def check_snf(a: IntMatrix):
     snf = smith_normal_form(a)
-    assert snf.U.matmul(a).matmul(snf.V).entries == snf.D.entries
-    assert snf.U.matmul(snf.u_inv).entries == IntMatrix.identity(a.rows).entries
-    assert snf.D.is_diagonal()
+    assert matmul(matmul(snf.U, a), snf.V).entries == snf.D.entries
+    assert matmul(snf.U, snf.u_inv).entries == IntMatrix.identity(a.rows).entries
+    assert is_diagonal(snf.D)
     d = [v for v in snf.diagonal() if v]
     assert all(v > 0 for v in d)
     for x, y in zip(d, d[1:]):
@@ -267,6 +269,32 @@ def test_direct_seeding_equals_added_seeding(moduli, vec):
     assert seeded.basis_columns() == added.basis_columns()
 
 
+@given(
+    st.integers(0, 4).flatmap(
+        lambda dim: st.tuples(
+            st.one_of(st.none(), st.lists(st.integers(-12, 12), min_size=dim, max_size=dim)),
+            st.lists(st.lists(st.integers(-30, 30), min_size=dim, max_size=dim), max_size=4),
+            st.lists(st.lists(st.integers(-60, 60), min_size=dim, max_size=dim), max_size=6),
+            st.just(dim),
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_contains_agrees_with_a_zero_residue(case, canonical):
+    """``contains`` walks the rows without building a residue; it must say
+    what a zero residue says, seeded or not, short of full rank or not."""
+    moduli, vectors, queries, dim = case
+    lat = rebuilt(dim, moduli, vectors)
+    if canonical:
+        lat.basis_columns()
+    for vec in queries + vectors + [[0] * dim]:
+        assert lat.contains(vec) == all(t == 0 for t in lat.reduce(vec))
+    assert all(lat.contains(col) for col in lat.basis_columns())
+    with pytest.raises(DimensionError):
+        lat.contains([0] * (dim + 1))
+
+
 def test_lattice_kernel_mod_simple():
     w = IntMatrix.from_rows([[4]])
     basis = lattice_kernel_mod(w, [12])
@@ -300,7 +328,7 @@ def check_kernel_mod(w: IntMatrix, moduli, half: int):
 
     def in_kernel(z):
         return all(
-            v % s == 0 if s else v == 0 for v, s in zip(w.apply(z), moduli)
+            v % s == 0 if s else v == 0 for v, s in zip(apply(w, z), moduli)
         )
 
     assert all(in_kernel(col) for col in basis)

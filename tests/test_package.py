@@ -70,3 +70,15 @@ def test_subgroup_of_torus_called_only_for_hidden_entries():
     # columns; only the hidden-subgroup generators of ringops need the
     # torus' independent generators
     assert _callers("subgroup_of_torus") == [("ringops.py", "_hidden_entries")]
+
+
+def test_stacked_lattice_built_only_where_no_span_holds_it():
+    # a span's stacked form extends its parent's, and relation lattices read
+    # it off the span: only a root span, a caller-supplied post, and the two
+    # modular solvers stack images over a target from scratch
+    assert sorted(_callers("stacked_lattice")) == [
+        ("intlinalg.py", "lattice_kernel_mod"),
+        ("intlinalg.py", "solve_modular"),
+        ("qsim.py", "_hidden_subgroup_exact"),
+        ("qsim.py", "stacked"),
+    ]
