@@ -36,7 +36,6 @@ from .idealcore import (
 )
 from .qsim import (
     CharacterSample,
-    CoordSubgroup,
     HidingFunction,
     PrimitiveProvider,
     ProviderConfig,

@@ -87,8 +87,7 @@ def present_group(
     hiding = HidingFunction(
         ring=ring, moduli=orders, combo_generators=gens, name="relation-lattice"
     )
-    hidden = provider.solve_ahsp(hiding)
-    return AbelianPresentation(gens, orders, hidden.lattice)
+    return AbelianPresentation(gens, orders, provider.solve_ahsp(hiding))
 
 
 def decompose_group(
@@ -180,7 +179,7 @@ def decompose_elements(
             over_basis=t,
         )
         try:
-            columns = provider.solve_ahsp(hiding).lattice
+            columns = provider.solve_ahsp(hiding)
         except HidingContractError as exc:  # some e x_j != 0: a wrong accept
             raise LowConfidenceError("a non-member passed its membership test") from exc
         for j, x in enumerate(pending):

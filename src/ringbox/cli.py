@@ -44,29 +44,6 @@ from .ringops import HomomorphismOracle
 
 SCHEMA = "ringbox.run/1"
 
-COMMANDS = (
-    "basis",
-    "order",
-    "ring-order",
-    "equal",
-    "member",
-    "witness",
-    "intersect",
-    "colon",
-    "annihilate",
-    "unit",
-    "inverse",
-    "one",
-    "zero",
-    "neg",
-    "solve",
-    "prime",
-    "hom-kernel",
-    "hom-injective",
-    "hom-surjective",
-    "bench-queries",
-)
-
 
 @dataclass
 class RunConfig:
@@ -637,17 +614,19 @@ def bench_queries(config: RunConfig):
     with the brute-force enumeration channel as the comparator column."""
     if not 1 <= config.k_min <= config.k_max:
         raise ParseError("bench-queries needs 1 <= --k-min <= --k-max")
+
+    def member(k):
+        base = ModularSpec(1 << k)
+        return base if config.family == "modular" else MatrixSpec(2, base)
+
+    # the family grows with k: refuse an over-cap --k-max before any row
+    if member(config.k_max).order() > DESK_CAP:
+        raise PreconditionError(
+            f"family member at k={config.k_max} exceeds the desk cap; lower --k-max"
+        )
     rows = []
     for k in range(config.k_min, config.k_max + 1):
-        if config.family == "modular":
-            spec = ModularSpec(1 << k)
-        else:
-            spec = MatrixSpec(2, ModularSpec(1 << k))
-        if spec.order() > DESK_CAP:
-            raise PreconditionError(
-                f"family member at k={k} exceeds the desk cap; lower --k-max"
-            )
-        ring = make_ring(spec, config.seed)
+        ring = make_ring(member(k), config.seed)
         provider = PrimitiveProvider(
             ProviderConfig(
                 backend=config.backend,
@@ -724,6 +703,8 @@ _HANDLERS = {
     "hom-surjective": _cmd_hom_surjective,
     "bench-queries": _cmd_bench,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def render(report, human_lines, config: RunConfig) -> str:

@@ -1,14 +1,18 @@
 """Exact integer linear algebra: Hermite and Smith forms and linear solvers.
 
 The incremental Hermite form (``LatticeBuilder``) computes the kernel and
-image lattices the package uses: ``stacked_lattice`` stacks the images over a
-target lattice, ``lattice_kernel_mod`` reads a modular kernel off it, and
-``preimage`` a particular solution (``solve_modular``, span coordinates).
-``LatticeBuilder.padded`` embeds a form in more coordinates, so a stacked
-form grows by one column per new image instead of being rebuilt.
-The Smith form serves only ``invariant_factors``: the group decomposition,
-the field test and ``subgroup_of_torus`` (a hidden subgroup's generators
-for ``ringops``; sampled characters are drawn over Hermite columns).
+image lattices the package uses.  This module alone builds and reads the
+stacked form, the columns (t; 0) over a target lattice and (image_j; e_j):
+``stacked_lattice`` is its one builder (from scratch, or extending a stacked
+form of a prefix of the images by one column per new image), and
+``preimage`` (a particular solution: ``solve_modular``, span coordinates)
+and ``kernel_columns`` (the zero-head columns: ``lattice_kernel_mod``, the
+hidden subgroups of ``qsim``) are its only readers.  The solvers take lists
+of columns, one entry per modulus.
+``IntMatrix`` is the Smith form's type; the Smith form serves only
+``invariant_factors``: the group decomposition, the field test and
+``subgroup_of_torus`` (a hidden subgroup's generators for ``ringops``;
+sampled characters are drawn over Hermite columns).
 
 ``is_prime`` (deterministic Miller-Rabin) serves the ring validation and the
 field test behind ``prime``; ``factorize`` and ``euler_phi`` (trial division)
@@ -140,10 +144,6 @@ class IntMatrix:
         if any(len(r) != n_cols for r in rows):
             raise DimensionError("ragged rows")
         return cls(n_rows, n_cols, tuple(v for r in rows for v in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -288,8 +288,7 @@ class LatticeBuilder:
     Vectors are accumulated one at a time; ``basis_columns`` returns the
     canonical echelon basis (positive pivots, cross entries reduced into
     [0, pivot)).  Seeding with moduli stores s_j * e_j as pivots, so the
-    lattice always contains the ambient torus relations.  Pivot lists are
-    replaced, never edited in place, so ``copy`` shares them.
+    lattice always contains the ambient torus relations.
     """
 
     def __init__(self, dim: int, seed_moduli=None):
@@ -305,16 +304,10 @@ class LatticeBuilder:
                     vec[j] = abs(s)
                     self._pivots[j] = vec
 
-    def copy(self) -> "LatticeBuilder":
-        """An independent builder over the same lattice."""
-        twin = LatticeBuilder(self.dim)
-        twin._pivots = dict(self._pivots)
-        return twin
-
     def padded(self, extra: int) -> "LatticeBuilder":
         """An independent builder over the same lattice embedded in
         Z^(dim + extra): every pivot gains ``extra`` zero tail entries and
-        keeps its row."""
+        keeps its row (``padded(0)`` is a copy)."""
         twin = LatticeBuilder(self.dim + extra)
         tail = [0] * extra
         twin._pivots = {r: piv + tail for r, piv in self._pivots.items()}
@@ -410,17 +403,18 @@ class LatticeBuilder:
         return out
 
 
-def stacked_lattice(images, target: LatticeBuilder) -> LatticeBuilder:
-    """Hermite form over Z^(p+k) of the columns (t; 0) for the target's
-    basis columns t and (images[j]; e_j).  Its columns with a zero head span
-    the kernel {z : sum_j z_j images[j] in target}; the heads of the others
-    span the image lattice plus the target."""
+def stacked_lattice(images, target: LatticeBuilder, done: int = 0) -> LatticeBuilder:
+    """Hermite form over Z^(p+k), k = len(images), of the columns (t; 0)
+    for the target's basis columns t in Z^p and (images[j]; e_j).  Its
+    columns with a zero head span the kernel {z : sum_j z_j images[j] in
+    target}; the heads of the others span the image lattice plus the target.
+
+    ``done`` counts the images whose columns the target already holds: a
+    stacked form of images[:done] grows by one column per further image."""
     k = len(images)
-    lat = LatticeBuilder(target.dim + k)
-    for col in target.basis_columns():
-        lat.add(col + (0,) * k)
-    for j, v in enumerate(images):
-        lat.add(tuple(v) + tuple(1 if i == j else 0 for i in range(k)))
+    lat = target.padded(k - done)
+    for j in range(done, k):
+        lat.add(tuple(images[j]) + tuple(int(i == j) for i in range(k)))
     return lat
 
 
@@ -435,43 +429,40 @@ def preimage(stacked: LatticeBuilder, head: int, vec) -> tuple[int, ...] | None:
     return tuple(-v for v in rest[head:])
 
 
-def solve_modular(a: IntMatrix, b, moduli) -> tuple[int, ...] | None:
-    """Solve the simultaneous congruences sum_j A[i][j]*x_j = b_i (mod moduli[i]).
+def kernel_columns(stacked: LatticeBuilder, head: int) -> tuple[tuple[int, ...], ...]:
+    """The kernel's canonical Hermite basis, read off ``stacked =
+    stacked_lattice(images, target)`` with ``head = target.dim``: the tails
+    of the canonical columns whose head vanishes."""
+    return tuple(col[head:] for col in stacked.basis_columns() if not any(col[:head]))
 
-    The preimage of b under A's columns stacked over the moduli; each x_j is
+
+def solve_modular(columns, b, moduli) -> tuple[int, ...] | None:
+    """Solve sum_j x_j columns[j] = b modulo the moduli, row by row (one
+    entry per modulus in b and in each column).
+
+    The preimage of b under the columns stacked over the moduli; each x_j is
     canonicalized into [0, effective modulus of column j).
     """
-    b = tuple(b)
-    moduli = tuple(moduli)
-    if len(b) != a.rows or len(moduli) != a.rows:
-        raise DimensionError("rhs/moduli length != row count")
+    columns, b, moduli = list(columns), tuple(b), tuple(moduli)
+    if len(b) != len(moduli):
+        raise DimensionError("rhs length != moduli length")
     if any(s <= 0 for s in moduli):
         raise ValueError("moduli must be positive")
-    m, n = a.rows, a.cols
-    stacked = stacked_lattice(
-        [a.col(j) for j in range(n)], LatticeBuilder(m, seed_moduli=moduli)
-    )
+    m = len(moduli)
+    stacked = stacked_lattice(columns, LatticeBuilder(m, seed_moduli=moduli))
     x = preimage(stacked, m, b)
     if x is None:
         return None
-    effective = (
-        lcm(1, *(s // gcd(s, a.at(i, j)) for i, s in enumerate(moduli)))
-        for j in range(n)
-    )
+    effective = (lcm(1, *(s // gcd(s, c) for s, c in zip(moduli, col))) for col in columns)
     return tuple(xj % eff for xj, eff in zip(x, effective))
 
 
-def lattice_kernel_mod(w: IntMatrix, moduli) -> tuple[tuple[int, ...], ...]:
-    """Basis of {z in Z^n : W*z == 0 (mod moduli[i]) rowwise}, canonical HNF:
-    the zero-head columns of W's columns stacked over the moduli."""
-    moduli = tuple(moduli)
-    if len(moduli) != w.rows:
-        raise DimensionError("moduli length != row count")
-    m = w.rows
-    stacked = stacked_lattice(
-        [w.col(j) for j in range(w.cols)], LatticeBuilder(m, seed_moduli=moduli)
-    )
-    return tuple(col[m:] for col in stacked.basis_columns() if not any(col[:m]))
+def lattice_kernel_mod(columns, moduli) -> tuple[tuple[int, ...], ...]:
+    """Basis of {z : sum_j z_j columns[j] == 0 modulo the moduli, row by
+    row}, canonical HNF: the kernel of the columns stacked over the moduli."""
+    columns, moduli = list(columns), tuple(moduli)
+    m = len(moduli)
+    return kernel_columns(stacked_lattice(columns, LatticeBuilder(m, seed_moduli=moduli)), m)
 
 
 def invariant_factors(relations, k: int):
@@ -519,8 +510,7 @@ def subgroup_of_torus(gens, moduli) -> tuple[tuple[tuple[int, ...], ...], tuple[
     gens = [g for g in gens if any(g)]
     if not gens:
         return (), ()
-    w = IntMatrix.from_rows([[g[r] for g in gens] for r in range(k)])
-    orders, to_original, _ = invariant_factors(lattice_kernel_mod(w, moduli), len(gens))
+    orders, to_original, _ = invariant_factors(lattice_kernel_mod(gens, moduli), len(gens))
     new_gens = tuple(
         tuple(
             sum(c * g[r] for c, g in zip(coeffs, gens)) % moduli[r] if moduli[r] else 0

@@ -10,12 +10,14 @@ coords(g_j) and the moduli m_i e_i, so |A| = prod(m_i) / det(L_A) and
 offsets lies in L_A + L_B.  Spans are memoized per provider, and a new
 generator tuple extends the span of its longest memoized prefix; when one
 tuple is a prefix of the other, L_A + L_B is the longer span's lattice.
-A span's stacked Hermite form extends its parent's in the same way (one
-new column per generator past the prefix).  Hidden subgroups are kernels
-of additive maps, read off one Hermite form: a generator tuple's relation
-lattice off the zero-head columns of its span's stacked form, and a batch
-of element decompositions' map off the basis span's memoized form (one
-preimage per element, with the basis images the span stores).  A map
+A span's stacked Hermite form (``intlinalg.stacked_lattice``, the only
+builder of such forms) extends its parent's in the same way, by one column
+per generator past the prefix.  Hidden subgroups are kernels of additive
+maps, read off one Hermite form: a generator tuple's relation lattice off
+its span's stacked form (``intlinalg.kernel_columns``), and a batch of
+element decompositions' map off the basis span's memoized form (one
+preimage per element, with the basis images the span stores).  The solver
+returns the canonical Hermite columns of the hidden subgroup.  A map
 additive by construction (the ring's coordinates, and the intersection,
 colon and annihilator labels of ``ringops``) is then certified without a
 random draw: every vector the solver adds to the moduli maps into the
@@ -53,8 +55,8 @@ from .errors import (
     PreconditionError,
 )
 from .intlinalg import (
-    IntMatrix,
     LatticeBuilder,
+    kernel_columns,
     lattice_kernel_mod,
     preimage,
     stacked_lattice,
@@ -63,7 +65,6 @@ from .intlinalg import (
 __all__ = [
     "ProviderConfig",
     "SubgroupDescriptor",
-    "CoordSubgroup",
     "HidingFunction",
     "CharacterSample",
     "PrimitiveProvider",
@@ -114,18 +115,6 @@ class SubgroupDescriptor:
 
 
 @dataclass(frozen=True)
-class CoordSubgroup:
-    """A subgroup of Z_{s_1} x ... x Z_{s_l}, as produced by the hidden
-    subgroup solver: the HNF columns of its lift to Z^l (which contains every
-    s_j e_j).  ``intlinalg.subgroup_of_torus`` turns the columns into
-    independent generators for the one caller that needs them."""
-
-    moduli: tuple[int, ...]
-    lattice: tuple[tuple[int, ...], ...]
-    order: int
-
-
-@dataclass(frozen=True)
 class HidingFunction:
     """Function on Z_{s_1} x ... x Z_{s_l} that is constant and distinct on
     cosets of a hidden subgroup.
@@ -134,7 +123,9 @@ class HidingFunction:
     modulo ``target``: ``post`` is an additive map from element codes into
     Z^p and ``target`` a full-rank lattice in Z^p, so the hidden subgroup is
     the kernel.  Both default to the ring's own coordinates (labels are then
-    the elements themselves).
+    the elements themselves).  ``solve_ahsp`` answers with the kernel's
+    canonical Hermite columns over Z^l; ``moduli`` is their ambient torus,
+    and the caller's own record of it.
 
     ``additive`` marks a ``post`` that is additive by construction: the
     default (the ring's coordinates, used by ``abelian``) and the label maps
@@ -212,7 +203,7 @@ def _annihilator(vectors, moduli) -> tuple[tuple[int, ...], ...]:
         if rows.add([v * (big // m) for v, m in zip(y, moduli)]):
             rows.basis_columns()
     basis = rows.basis_columns()
-    return lattice_kernel_mod(IntMatrix.from_rows(basis), [big] * len(basis))
+    return lattice_kernel_mod(zip(*basis), [big] * len(basis))
 
 
 def _broken(hiding: HidingFunction, fault: str) -> HidingContractError:
@@ -241,16 +232,16 @@ class _Span:
     the prefix.  The stacked Hermite form of the coords(g_j) over the
     moduli (its heads span L, its tails track the combination, and its
     zero-head columns are the generators' relation lattice) is built on
-    first use; when the parent already has one, it is the parent's padded
-    with zero tails plus one column per generator past the prefix.
-    Overlaps read only L."""
+    first use by one ``stacked_lattice`` call: over the parent's form when
+    the parent has one (one new column per generator past the prefix), over
+    the moduli lattice otherwise.  Overlaps read only L."""
 
     def __init__(self, ring: RingOracle, gens, parent: "_Span | None" = None):
         self.dim = len(ring.spec._moduli)
         if parent is None:
             self._images, self.lattice = [], _moduli_lattice(ring)
         else:
-            self._images, self.lattice = list(parent._images), parent.lattice.copy()
+            self._images, self.lattice = list(parent._images), parent.lattice.padded(0)
         for g in gens[len(self._images):]:
             image = ring._coords(g)
             self._images.append(image)
@@ -265,14 +256,11 @@ class _Span:
         (coords(g_j); e_j), k the generator count."""
         if self._stacked is None:
             parent = self._parent
-            if parent is None or parent._stacked is None:
-                self._stacked = stacked_lattice(self._images, _moduli_lattice(ring))
+            if parent is not None and parent._stacked is not None:
+                base, done = parent._stacked, len(parent._images)
             else:
-                k, done = len(self._images), len(parent._images)
-                lat = parent._stacked.padded(k - done)
-                for j in range(done, k):
-                    lat.add(self._images[j] + tuple(int(i == j) for i in range(k)))
-                self._stacked = lat
+                base, done = _moduli_lattice(ring), 0
+            self._stacked = stacked_lattice(self._images, base, done)
         return self._stacked
 
     def combination(self, ring: RingOracle, image):
@@ -498,8 +486,7 @@ class PrimitiveProvider:
             else:
                 images = [hiding.post(g) for g in gens]
                 stacked = stacked_lattice(images, target)
-            dim = target.dim
-            added = [col[dim:] for col in stacked.basis_columns() if not any(col[:dim])]
+            added = kernel_columns(stacked, target.dim)
             for vec in added:
                 lattice.add(vec)
             # the kernel's triangular columns contain every s_j e_j iff
@@ -539,8 +526,9 @@ class PrimitiveProvider:
         self.stats["characters"] += batch
         return out
 
-    def solve_ahsp(self, hiding: HidingFunction) -> CoordSubgroup:
-        """Generators of the hidden subgroup.
+    def solve_ahsp(self, hiding: HidingFunction) -> tuple[tuple[int, ...], ...]:
+        """The hidden subgroup, as the canonical Hermite columns of its lift
+        to Z^l (which contains every s_j e_j).
 
         Exact backend: certain.  Sampled backend: reconstructed as the joint
         kernel of a batch of sampled characters; the batch size makes the
@@ -555,8 +543,7 @@ class PrimitiveProvider:
             lattice = LatticeBuilder(len(moduli), seed_moduli=moduli)
             for col in _annihilator(samples, moduli):
                 lattice.add(col)
-        order = prod(moduli) // lattice.determinant()
-        return CoordSubgroup(moduli, lattice.basis_columns(), order)
+        return lattice.basis_columns()
 
     # ---- order finding ----
 

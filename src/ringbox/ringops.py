@@ -37,7 +37,6 @@ from .idealcore import (
     representation_from_additive,
 )
 from .intlinalg import (
-    IntMatrix,
     LatticeBuilder,
     euler_phi,
     invariant_factors,
@@ -194,7 +193,7 @@ def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
         name=name,
         additive=additive,
     )
-    gens, _ = subgroup_of_torus(provider.solve_ahsp(hiding).lattice, rep.orders)
+    gens, _ = subgroup_of_torus(provider.solve_ahsp(hiding), rep.orders)
     entries = [
         (
             combine_codes(ring.metered, rep.basis.h, vec),
@@ -312,15 +311,15 @@ def solve_linear(
     s = basis.s
     l = len(s)
     a_coords, b_coords = decompose_elements(ring, (a, b), basis, provider)
-    rows = []
-    for i in range(l):
-        row = []
-        for j in range(l):
-            row.append(sum(a_coords[k] * ring_rep.tensor[k][j][i] for k in range(l)))
-        rows.append(row)
     if l == 0:
         return None
-    x = solve_modular(IntMatrix.from_rows(rows), b_coords, s)
+    tensor = ring_rep.tensor
+    # column j: the coordinates of a*h_j
+    columns = [
+        [sum(a_coords[k] * tensor[k][j][i] for k in range(l)) for i in range(l)]
+        for j in range(l)
+    ]
+    x = solve_modular(columns, b_coords, s)
     if x is None:
         return None
     if not any(x):
@@ -345,15 +344,10 @@ def multiplicative_identity(
     l = len(s)
     if l == 0:
         raise PreconditionError("the trivial ring has no usable identity system")
-    rows = []
-    rhs = []
-    moduli = []
-    for j in range(l):
-        for k in range(l):
-            rows.append([ring_rep.tensor[i][j][k] for i in range(l)])
-            rhs.append(1 if j == k else 0)
-            moduli.append(s[k])
-    coords = solve_modular(IntMatrix.from_rows(rows), rhs, moduli)
+    # column i: the coordinates of h_i*h_j over every j, i.e. tensor[i] flattened
+    columns = [[v for row in ring_rep.tensor[i] for v in row] for i in range(l)]
+    rhs = [int(j == k) for j in range(l) for k in range(l)]
+    coords = solve_modular(columns, rhs, s * l)
     if coords is None or not any(coords):
         raise PreconditionError("no multiplicative identity in the spanned set")
     e = combine_codes(ring.metered, basis.h, coords)

@@ -1,8 +1,18 @@
 """Dense integer matrix algebra for checking ``ringbox.intlinalg`` results:
-products, matrix-vector products and the diagonal test."""
+identities, columns, products, matrix-vector products and the diagonal
+test."""
 
 from ringbox.errors import DimensionError
 from ringbox.intlinalg import IntMatrix
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def columns(a: IntMatrix) -> list[tuple[int, ...]]:
+    """The matrix as the column list the modular solvers take."""
+    return [a.col(j) for j in range(a.cols)]
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

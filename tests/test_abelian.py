@@ -259,6 +259,7 @@ def test_present_group_reads_an_extended_span(backend, monkeypatch):
     # an accumulation round presents the previous round's entries plus one:
     # the relation lattice comes off the span's stacked form, extended from
     # the memoized prefix's, with no Hermite form stacked from scratch
+    # (``done == 0``)
     rng = random.Random(0x5A)
     for _, spec in DESK_SUITE + [(None, PolyQuotSpec(2, (0,) * 10 + (1,)))]:
         r = make_ring(spec, 6)
@@ -267,9 +268,13 @@ def test_present_group_reads_an_extended_span(backend, monkeypatch):
         for cut in range(1, 3):
             present_group(r, elems[:cut], p)
         calls = []
-        monkeypatch.setattr(
-            qsim, "stacked_lattice", lambda *a: calls.append(a) or stacked_lattice(*a)
-        )
+
+        def counted(images, target, done=0):
+            if done == 0:
+                calls.append((images, target))
+            return stacked_lattice(images, target, done)
+
+        monkeypatch.setattr(qsim, "stacked_lattice", counted)
         warm = [present_group(r, elems[:cut], p) for cut in range(3, 6)]
         monkeypatch.undo()
         assert calls == []

@@ -26,7 +26,7 @@ from ringbox.idealcore import IdealSpec, find_basis_representation
 from ringbox.intlinalg import IntMatrix, smith_normal_form, solve_modular
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
 
-from matrix_algebra import matmul
+from matrix_algebra import columns, matmul
 
 DESK_SUITE = [
     ("Z_6", ModularSpec(6)),
@@ -411,7 +411,7 @@ def test_criterion_6_linear_algebra():
             box *= s
         if box ** n > 10**5:
             continue
-        got = solve_modular(a, b, moduli)
+        got = solve_modular(columns(a), b, moduli)
         want = None
         from math import lcm as _lcm
 

@@ -333,6 +333,19 @@ def test_bench_single_row():
     assert exponent == 0.0
 
 
+def test_bench_refuses_an_over_cap_family_before_any_row(capsys, monkeypatch):
+    # M_2(Z_64) exceeds the desk cap: no smaller member is computed first
+    def computed(*args, **kwargs):
+        raise AssertionError("a row was computed before the cap check")
+
+    monkeypatch.setattr(cli, "find_basis_representation", computed)
+    code, out, err = invoke(
+        capsys, ["bench-queries", "--family", "matrix2", "--k-min", "1", "--k-max", "6"]
+    )
+    assert (code, out) == (3, "")
+    assert "family member at k=6 exceeds the desk cap; lower --k-max" in err
+
+
 def test_fit_exponent_recovers_power_law():
     ks = list(range(4, 15))
     totals = [3 * k**2 for k in ks]

@@ -155,7 +155,7 @@ def brute_kernel(ring, zero, hiding, hidden_code):
 
 def check_hidden(ring, zero, hiding, sub, hidden_code):
     lat = LatticeBuilder(len(hiding.moduli), seed_moduli=hiding.moduli)
-    for col in sub.lattice:
+    for col in sub:
         lat.add(col)
     want = brute_kernel(ring, zero, hiding, hidden_code)
     got = {
@@ -164,7 +164,7 @@ def check_hidden(ring, zero, hiding, sub, hidden_code):
         if lat.contains(z)
     }
     assert got == want, hiding.name
-    assert sub.order == len(want)
+    assert prod(hiding.moduli) // lat.determinant() == len(want)
 
 
 def additive_generators(ring, subgroup):
@@ -473,7 +473,7 @@ def test_stacked_form_extends_the_parent_span(spec, seed):
     """Along a chain of generator tuples, each span's stacked form is its
     parent's padded plus the new columns: the same canonical form as one
     stacked from scratch, with the parent's pivots left as they were and
-    only the root stacked from scratch."""
+    only the root stacked from scratch (``done == 0``)."""
     ring = make_ring(spec, seed)
     rng = random.Random(seed)
     elems = [ring._encode(spec.element_at(rng.randrange(spec.order()))) for _ in range(8)]
@@ -494,7 +494,7 @@ def test_stacked_form_extends_the_parent_span(spec, seed):
             fresh = stacked_lattice(span._images, _moduli_lattice(ring))
             assert ext.basis_columns() == fresh.basis_columns()
             parent = span
-    assert scratch.call_count == 1
+    assert sum(len(c.args) < 3 or c.args[2] == 0 for c in scratch.call_args_list) == 1
 
 
 # -- the field test behind `prime` --------------------------------------------

@@ -15,6 +15,7 @@ from ringbox.intlinalg import (
     factorize,
     invariant_factors,
     is_prime,
+    kernel_columns,
     lattice_kernel_mod,
     preimage,
     smith_normal_form,
@@ -23,13 +24,13 @@ from ringbox.intlinalg import (
     subgroup_of_torus,
 )
 
-from matrix_algebra import apply, is_diagonal, matmul
+from matrix_algebra import apply, columns, identity, is_diagonal, matmul
 
 
 def check_snf(a: IntMatrix):
     snf = smith_normal_form(a)
     assert matmul(matmul(snf.U, a), snf.V).entries == snf.D.entries
-    assert matmul(snf.U, snf.u_inv).entries == IntMatrix.identity(a.rows).entries
+    assert matmul(snf.U, snf.u_inv).entries == identity(a.rows).entries
     assert is_diagonal(snf.D)
     d = [v for v in snf.diagonal() if v]
     assert all(v > 0 for v in d)
@@ -83,14 +84,14 @@ def test_snf_round_trip_500_random_dims_to_8():
 
 
 def test_modular_examples():
-    a = IntMatrix.from_rows([[4]])
+    a = [(4,)]
     assert solve_modular(a, [8], [12]) is not None
     x = solve_modular(a, [8], [12])
     assert (4 * x[0]) % 12 == 8
 
     assert solve_modular(a, [2], [12]) is None
 
-    x = solve_modular(IntMatrix.from_rows([[2]]), [4], [6])
+    x = solve_modular([(2,)], [4], [6])
     assert x is not None and (2 * x[0]) % 6 == 4
 
 
@@ -124,7 +125,7 @@ def modular_systems(draw):
 def test_modular_vs_exhaustive(system):
     a, b, moduli = system
     m, n = a.rows, a.cols
-    got = solve_modular(a, b, moduli)
+    got = solve_modular(columns(a), b, moduli)
     want = brute_modular(a, b, moduli)
     if n == 0:  # no unknowns: solvable iff b == 0 modulo every row's modulus
         assert (want is None) == any(bi % s for bi, s in zip(b, moduli))
@@ -147,6 +148,79 @@ def test_preimage_reads_the_stacked_form():
     assert z is not None and (4 * z[0] + 6 * z[1] - 10) % 12 == 0
     assert preimage(stacked, 1, (3,)) is None
     assert preimage(stacked, 1, (0,)) == (0, 0)
+
+
+def pivot_snapshot(lat):
+    return {r: tuple(piv) for r, piv in lat._pivots.items()}
+
+
+def stacked_by_re_adding(images, target):
+    """The stacked form built without padding the target: an empty builder
+    takes the target's canonical columns, then the image columns."""
+    k = len(images)
+    lat = LatticeBuilder(target.dim + k)
+    for col in target.basis_columns():
+        lat.add(col + (0,) * k)
+    for j, v in enumerate(images):
+        lat.add(tuple(v) + tuple(int(i == j) for i in range(k)))
+    return lat
+
+
+@st.composite
+def stacked_cases(draw, seeded_only=False):
+    """(images, full-rank target, prefix length) with the target seeded or
+    built by ``add``, plus vectors to query."""
+    p = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4))
+    vector = st.lists(st.integers(-20, 20), min_size=p, max_size=p)
+    images = draw(st.lists(vector, min_size=k, max_size=k))
+    moduli = draw(st.lists(st.integers(1, 12), min_size=p, max_size=p))
+    seeded = seeded_only or draw(st.booleans())
+    if seeded:
+        target = LatticeBuilder(p, seed_moduli=moduli)
+    else:
+        target = LatticeBuilder(p)
+        for j, s in enumerate(moduli):
+            target.add([s if i == j else 0 for i in range(p)])
+    if not seeded_only:
+        for v in draw(st.lists(vector, max_size=3)):
+            target.add(v)
+    return images, target, draw(st.integers(0, k)), draw(st.lists(vector, max_size=4))
+
+
+@given(stacked_cases(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_stacked_form_extends_a_stacked_prefix(case, canonical):
+    images, target, done, _ = case
+    base = stacked_lattice(images[:done], target)
+    if canonical:
+        base.basis_columns()
+    before = pivot_snapshot(base)
+    grown = stacked_lattice(images, base, done)
+    assert pivot_snapshot(base) == before
+    assert grown.basis_columns() == stacked_lattice(images, target).basis_columns()
+
+
+@given(stacked_cases(seeded_only=True))
+@settings(max_examples=150, deadline=None)
+def test_seeded_stacked_form_keeps_the_re_added_pivots(case):
+    # solve_modular, lattice_kernel_mod and a root span stack over seeded
+    # targets: their pre-canonical pivots, and so every preimage, must be
+    # those of re-adding the target's canonical columns
+    images, target, _, queries = case
+    got, want = stacked_lattice(images, target), stacked_by_re_adding(images, target)
+    assert pivot_snapshot(got) == pivot_snapshot(want)
+    for vec in queries:
+        assert preimage(got, target.dim, vec) == preimage(want, target.dim, vec)
+
+
+@given(stacked_cases())
+@settings(max_examples=100, deadline=None)
+def test_kernel_columns_are_the_zero_head_tails(case):
+    images, target, _, _ = case
+    stacked, head = stacked_lattice(images, target), target.dim
+    want = tuple(col[head:] for col in stacked.basis_columns() if not any(col[:head]))
+    assert kernel_columns(stacked, head) == want
 
 
 def test_lattice_builder_reduce_canonical():
@@ -244,7 +318,7 @@ def test_adding_to_a_copy_leaves_the_original(moduli, first, more, canonical):
     lat = rebuilt(LATTICE_DIM, moduli, first)
     if canonical:
         lat.basis_columns()
-    twin = lat.copy()
+    twin = lat.padded(0)
     for v in more:
         twin.add(v)
     assert lat.basis_columns() == rebuilt(LATTICE_DIM, moduli, first).basis_columns()
@@ -296,8 +370,7 @@ def test_contains_agrees_with_a_zero_residue(case, canonical):
 
 
 def test_lattice_kernel_mod_simple():
-    w = IntMatrix.from_rows([[4]])
-    basis = lattice_kernel_mod(w, [12])
+    basis = lattice_kernel_mod([(4,)], [12])
     lat = LatticeBuilder(1)
     for col in basis:
         lat.add(col)
@@ -319,7 +392,7 @@ def in_echelon_span(basis, z) -> bool:
 def check_kernel_mod(w: IntMatrix, moduli, half: int):
     """lattice_kernel_mod against brute force on the box [-half, half]^n,
     and its columns in canonical Hermite form."""
-    basis = lattice_kernel_mod(w, moduli)
+    basis = lattice_kernel_mod(columns(w), moduli)
     pivots = [next(i for i, v in enumerate(col) if v) for col in basis]
     assert pivots == sorted(set(pivots))
     for col, r in zip(basis, pivots):
@@ -351,7 +424,7 @@ def test_lattice_kernel_mod_vs_brute(m, n, data):
 @pytest.mark.parametrize("n", range(5))
 def test_lattice_kernel_mod_zero_rows(n):
     w = IntMatrix(0, n, ())
-    assert lattice_kernel_mod(w, ()) == tuple(IntMatrix.identity(n).row(i) for i in range(n))
+    assert lattice_kernel_mod(columns(w), ()) == tuple(identity(n).row(i) for i in range(n))
     check_kernel_mod(w, (), BOX_HALF[n])
 
 

@@ -37,6 +37,16 @@ def _callers(name):
     return callers
 
 
+def _defined(name):
+    """(module file, name) of every class or function called ``name``."""
+    return [
+        (module, node.name)
+        for module, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+    ]
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_names_exist(name):
     mod = importlib.import_module(f"ringbox.{name}")
@@ -56,13 +66,7 @@ def test_period_finding_has_one_continued_fraction_loop():
     # routine, and the multiplicative one takes a label function, not a
     # quotient adapter
     assert _callers("limit_denominator") == [("qsim.py", "_period_estimates")]
-    defined = [
-        (module, node.name)
-        for module, tree in _trees()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "QuotientView"
-    ]
-    assert defined == []
+    assert _defined("QuotientView") == []
 
 
 def test_subgroup_of_torus_called_only_for_hidden_entries():
@@ -73,12 +77,26 @@ def test_subgroup_of_torus_called_only_for_hidden_entries():
 
 
 def test_stacked_lattice_built_only_where_no_span_holds_it():
-    # a span's stacked form extends its parent's, and relation lattices read
-    # it off the span: only a root span, a caller-supplied post, and the two
-    # modular solvers stack images over a target from scratch
+    # a span's stacked form extends its parent's (one call, over the
+    # parent's form or the moduli), and relation lattices read it off the
+    # span: only a caller-supplied post and the two modular solvers stack
+    # images over a target outside a span
     assert sorted(_callers("stacked_lattice")) == [
         ("intlinalg.py", "lattice_kernel_mod"),
         ("intlinalg.py", "solve_modular"),
         ("qsim.py", "_hidden_subgroup_exact"),
         ("qsim.py", "stacked"),
     ]
+
+
+def test_int_matrix_built_only_in_intlinalg():
+    # the solvers take columns; IntMatrix is the Smith form's type
+    for name in ("from_rows", "zeros", "IntMatrix"):
+        assert {module for module, _ in _callers(name)} == {"intlinalg.py"}, name
+
+
+def test_no_coord_subgroup_or_builder_copy():
+    # the hidden-subgroup solver returns canonical columns, and a builder
+    # is copied by padding it with no extra coordinates
+    assert _defined("CoordSubgroup") == []
+    assert _defined("copy") == []
