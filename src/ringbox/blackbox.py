@@ -770,7 +770,8 @@ def parse_ring_file(text: str) -> RingSpec:
     Keys: ring.kind, then ring.n | ring.factors | ring.k + ring.base |
     ring.p + ring.f.  The values fill the kind's compact form of
     :func:`parse_spec_string`: factor lists and base values are compact
-    descriptions, ring.f is a coefficient list low-to-high.
+    descriptions, ring.f is a coefficient list low-to-high.  A repeated key,
+    or a key other than ring.kind and the kind's own, is a ParseError.
     """
     fields = {}
     for raw in text.splitlines():
@@ -780,7 +781,10 @@ def parse_ring_file(text: str) -> RingSpec:
         if "=" not in line:
             raise ParseError(f"expected key = value, got {line!r}")
         key, val = line.split("=", 1)
-        fields[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in fields:
+            raise ParseError(f"repeated key {key}")
+        fields[key] = val.strip()
     kind = fields.get("ring.kind")
     if kind is None:
         raise ParseError("missing ring.kind")
@@ -791,6 +795,9 @@ def parse_ring_file(text: str) -> RingSpec:
     for key in keys:
         if key not in fields:
             raise ParseError(f"{kind}: missing {key}")
+    for key in fields:
+        if key != "ring.kind" and key not in keys:
+            raise ParseError(f"{kind}: unexpected key {key}")
     return parse_spec_string(form.format(*(fields[key] for key in keys)))
 
 

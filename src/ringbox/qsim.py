@@ -28,12 +28,15 @@ other caller-supplied ``post``) is spot-checked by random rounds of oracle
 evaluations.  The *sampled* backend consults the same ground truth
 internally but exposes only measurement-shaped data: swap-test shots with
 the correct Bernoulli law, characters drawn uniformly from the annihilator
-dual as mixed-radix combinations of its Hermite columns (their joint kernel
-is taken after reducing them to at most l Hermite rows, l the hiding map's
-dimension), and period-finding outcomes concentrated near multiples of q/c
-followed by continued-fraction reconstruction; each additive order is found
-once per provider.  Consumers are written against the sample interface and
-never receive the hidden structure directly.
+dual as mixed-radix combinations of its Hermite columns, reduced to at most
+l Hermite rows (l the hiding map's dimension) until the rows' determinant
+reaches big^l / det(L) (big the lcm of the moduli, L the hidden lattice):
+the rows then span the whole scaled dual, whose kernel is L, so L is the
+answer; a batch that never reaches it gives the kernel of its rows lifted
+over the moduli.  Period-finding outcomes are concentrated near multiples
+of q/c and followed by continued-fraction reconstruction; each additive
+order is found once per provider.  Consumers are written against the
+sample interface and never receive the hidden structure directly.
 
 All ground-truth queries run on the ring's unmetered channel: a stand-in
 quantum device's internal oracle calls are not classical algorithm queries.
@@ -191,19 +194,40 @@ def _moduli_lattice(ring: RingOracle) -> LatticeBuilder:
     return LatticeBuilder(len(moduli), seed_moduli=moduli)
 
 
-def _annihilator(vectors, moduli) -> tuple[tuple[int, ...], ...]:
+def _annihilator(vectors, moduli, full: int = 0) -> tuple[tuple[int, ...], ...] | None:
     """HNF columns of {z in Z^l : sum_j y_j z_j / m_j in Z for every y}.
 
     The vectors, scaled by big / m_j (big = lcm(moduli)), are first reduced
     to the at most l Hermite rows of their row lattice modulo big: same
-    kernel.  Each insert that grows the rows makes them canonical again."""
+    kernel.  Each insert that grows the rows makes them canonical again.
+    None as soon as a growing insert brings their determinant down to
+    ``full``."""
     big = lcm(*moduli)
     rows = LatticeBuilder(len(moduli), seed_moduli=[big] * len(moduli))
     for y in vectors:
         if rows.add([v * (big // m) for v, m in zip(y, moduli)]):
+            if rows.determinant() == full:
+                return None
             rows.basis_columns()
     basis = rows.basis_columns()
     return lattice_kernel_mod(zip(*basis), [big] * len(basis))
+
+
+def _reconstruct(characters, moduli, hidden: LatticeBuilder) -> tuple[tuple[int, ...], ...]:
+    """Canonical Hermite columns of the characters' joint kernel, lifted
+    over the moduli.  The characters annihilate the hidden lattice, so
+    their scaled rows span a sublattice of its scaled dual, whose
+    determinant is big^l / det(hidden); once the rows reach it they span
+    the whole dual, whose kernel is ``hidden``.  A batch that never does
+    takes the kernel of its rows."""
+    dual_det = lcm(*moduli) ** len(moduli) // hidden.determinant()
+    kernel = _annihilator(characters, moduli, dual_det)
+    if kernel is None:
+        return hidden.basis_columns()
+    lattice = LatticeBuilder(len(moduli), seed_moduli=moduli)
+    for col in kernel:
+        lattice.add(col)
+    return lattice.basis_columns()
 
 
 def _broken(hiding: HidingFunction, fault: str) -> HidingContractError:
@@ -503,15 +527,18 @@ class PrimitiveProvider:
         return lattice
 
     def sample_hidden_subgroup_characters(
-        self, hiding: HidingFunction, batch: int
+        self, hiding: HidingFunction, batch: int, hidden: LatticeBuilder | None = None
     ) -> list[CharacterSample]:
         """Independent uniform samples from the character group annihilating
         the hidden subgroup: sum_i c_i b_i mod m over the dual's triangular
         Hermite columns b_i, of pivots d_i | m_i, with c_i uniform in
-        [0, m_i / d_i) (a mixed-radix draw; Cohen, GTM 138, 2.4.3)."""
+        [0, m_i / d_i) (a mixed-radix draw; Cohen, GTM 138, 2.4.3).
+        ``hidden`` is the hidden subgroup's lattice when the caller already
+        holds it."""
         moduli = hiding.moduli
-        lattice = self._hidden_subgroup_exact(hiding)
-        dual = _annihilator(lattice.basis_columns(), moduli)
+        if hidden is None:
+            hidden = self._hidden_subgroup_exact(hiding)
+        dual = _annihilator(hidden.basis_columns(), moduli)
         radices = [
             (col, m // col[i]) for i, (col, m) in enumerate(zip(dual, moduli)) if col[i] != m
         ]
@@ -530,20 +557,20 @@ class PrimitiveProvider:
         """The hidden subgroup, as the canonical Hermite columns of its lift
         to Z^l (which contains every s_j e_j).
 
-        Exact backend: certain.  Sampled backend: reconstructed as the joint
-        kernel of a batch of sampled characters; the batch size makes the
-        failure probability negligible against the configured epsilon.
+        Exact backend: certain.  Sampled backend: reconstructed from a batch
+        of sampled characters (``_reconstruct``): their scaled rows are
+        reduced until they span the whole dual, and then the answer is the
+        hidden lattice the ground truth drew them over; a batch that never
+        spans it gives the joint kernel of its rows.  The batch size makes
+        the failure probability negligible against the configured epsilon.
         """
-        moduli = hiding.moduli
+        hidden = self._hidden_subgroup_exact(hiding)
         if not self.sampled:
-            lattice = self._hidden_subgroup_exact(hiding)
-        else:
-            extra = max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
-            samples = self.sample_hidden_subgroup_characters(hiding, len(moduli) + extra)
-            lattice = LatticeBuilder(len(moduli), seed_moduli=moduli)
-            for col in _annihilator(samples, moduli):
-                lattice.add(col)
-        return lattice.basis_columns()
+            return hidden.basis_columns()
+        moduli = hiding.moduli
+        extra = max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
+        samples = self.sample_hidden_subgroup_characters(hiding, len(moduli) + extra, hidden)
+        return _reconstruct(samples, moduli, hidden)
 
     # ---- order finding ----
 

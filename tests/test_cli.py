@@ -114,6 +114,13 @@ def test_parse_errors_exit_2(ring_file, capsys):
     )
     code, _, err = invoke(capsys, ["ring-order", "--ring", big_p])
     assert code == 2 and "not decided" in err, err
+    # a repeated key, and a key the kind does not take
+    for name, text, fault in (
+        ("twice.ring", Z12 + "ring.n = 13\n", "repeated key ring.n"),
+        ("foreign.ring", Z12 + "ring.p = 2\n", "unexpected key ring.p"),
+    ):
+        code, out, err = invoke(capsys, ["ring-order", "--ring", ring_file(name, text)])
+        assert code == 2 and not out and fault in err, (name, err)
     for k_min, k_max in (("0", "1"), ("5", "3")):
         code, out, err = invoke(
             capsys, ["bench-queries", "--k-min", k_min, "--k-max", k_max]

@@ -38,6 +38,7 @@ from ringbox.qsim import (
     SubgroupDescriptor,
     _annihilator,
     _certify,
+    _reconstruct,
     _Span,
 )
 from test_acceptance import DESK_SUITE
@@ -183,7 +184,9 @@ def unreduced_annihilator(vectors, moduli):
     """The kernel of every scaled vector as its own row, with no reduction."""
     big = math.lcm(*moduli)
     rows = [[v * (big // m) for v, m in zip(y, moduli)] for y in vectors]
-    return lattice_kernel_mod(zip(*rows), [big] * len(rows))
+    # one column per coordinate, so that no vectors leave the kernel Z^l
+    columns = [[row[j] for row in rows] for j in range(len(moduli))]
+    return lattice_kernel_mod(columns, [big] * len(rows))
 
 
 @given(st.integers(1, 4), st.integers(1, 8), st.data())
@@ -232,6 +235,32 @@ def test_annihilator_of_a_proper_subgroup():
     vectors = [(2, 0), (4, 0), (6, 0)]
     assert _annihilator(vectors, (8, 4)) == ((4, 0), (0, 1))
     assert unreduced_annihilator(vectors, (8, 4)) == ((4, 0), (0, 1))
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reconstruction_matches_the_kernel_of_every_character(l, data):
+    moduli = data.draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), min_size=l, max_size=l))
+    hidden = LatticeBuilder(l, seed_moduli=moduli)
+    gens = data.draw(st.integers(0, 4))
+    if gens == 4:  # the trivial case: the hidden lattice is Z^l, its dual {0}
+        for i in range(l):
+            hidden.add([int(i == j) for j in range(l)])
+    else:
+        for _ in range(gens):
+            hidden.add([data.draw(st.integers(0, m - 1)) for m in moduli])
+    dual = _annihilator(hidden.basis_columns(), moduli)
+    # few characters, or coefficients sharing a factor with the pivots,
+    # leave a batch short of the dual: the fallback route runs
+    characters = []
+    for _ in range(data.draw(st.integers(0, l + 8))):
+        y = [0] * l
+        for col in dual:
+            c = data.draw(st.sampled_from((0, 0, 1, 2, 3, 4, 6)))
+            y = [a + c * b for a, b in zip(y, col)]
+        characters.append(tuple(v % m for v, m in zip(y, moduli)))
+    full = solved_lattice(unreduced_annihilator(characters, moduli), moduli).basis_columns()
+    assert _reconstruct(characters, moduli, hidden) == full
 
 
 @pytest.mark.parametrize("epsilon,extra", [(1e-6, 32), (1e-9, 38)])
