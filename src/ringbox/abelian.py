@@ -44,16 +44,6 @@ class AbelianPresentation:
     orders: tuple[int, ...]
     relation_lattice: tuple[tuple[int, ...], ...]
 
-    def group_order(self) -> int:
-        # the group is Z^k modulo the relation lattice, so its order is the
-        # lattice index in Z^k
-        if not self.orders:
-            return 1
-        lat = LatticeBuilder(len(self.orders), seed_moduli=self.orders)
-        for col in self.relation_lattice:
-            lat.add(col)
-        return lat.determinant()
-
 
 @dataclass(frozen=True)
 class InvariantFactorBasis:
@@ -206,7 +196,7 @@ def ideal_lattice(
 ) -> LatticeBuilder:
     """Coordinate lattice (over the ambient basis) spanned by ``members``
     plus the ambient order relations."""
-    lat = LatticeBuilder(len(ring_basis.s), seed_moduli=ring_basis.s)
+    lat = LatticeBuilder(ring_basis.s)
     for vec in decompose_elements(ring, members, ring_basis, provider):
         lat.add(vec)
     return lat

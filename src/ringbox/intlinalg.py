@@ -1,8 +1,14 @@
 """Exact integer linear algebra: Hermite and Smith forms and linear solvers.
 
 The incremental Hermite form (``LatticeBuilder``) computes the kernel and
-image lattices the package uses.  This module alone builds and reads the
-stacked form, the columns (t; 0) over a target lattice and (image_j; e_j):
+image lattices the package uses.  Every one of them contains the torus
+relations s_j e_j of its positive moduli, so a builder is made from its
+moduli alone: it has full rank from the start and keeps its entries modulo
+D = lcm(moduli), the Hermite normal form modulo D of Domich, Kannan and
+Trotter (Math. Oper. Res. 1987; Cohen, GTM 138, 2.4.2), so no entry grows
+with the rank or the number of columns added.  This module alone builds and
+reads the stacked form, the columns (t; 0) over a target lattice and
+(image_j; e_j), its tail rows seeded with the target's D:
 ``stacked_lattice`` is its one builder (from scratch, or extending a stacked
 form of a prefix of the images by one column per new image), and
 ``preimage`` (a particular solution: ``solve_modular``, span coordinates)
@@ -26,7 +32,7 @@ damp coefficient growth; no asymptotic optimality is attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import DimensionError, PreconditionError
 
@@ -283,124 +289,115 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
 
 
 class LatticeBuilder:
-    """Incremental column Hermite form for a full-dimension-friendly lattice in Z^k.
+    """Incremental column Hermite form of a lattice L in Z^k, k = len(moduli),
+    that contains every s_r e_r for the positive ``moduli`` s_r.
 
-    Vectors are accumulated one at a time; ``basis_columns`` returns the
-    canonical echelon basis (positive pivots, cross entries reduced into
-    [0, pivot)).  Seeding with moduli stores s_j * e_j as pivots, so the
-    lattice always contains the ambient torus relations.
+    Row r always holds one basis column with its pivot on row r (zeros above
+    it), s_r e_r to start with, so L has full rank and its determinant is the
+    product of the pivots.  With D = lcm(moduli) = ``modulus``, D Z^k lies
+    in L and D e_t is spanned by the columns of rows >= t, so every entry
+    below a pivot may be reduced modulo D: ``add`` keeps them all in [0, D)
+    (the Hermite normal form modulo D of Domich, Kannan and Trotter, Math.
+    Oper. Res. 1987; Cohen, GTM 138, 2.4.2), and no entry grows with the
+    number of columns added.  ``basis_columns`` returns the canonical form
+    (pivots dividing D, entries beside a pivot reduced into [0, pivot)),
+    which does not depend on the order the columns came in.
     """
 
-    def __init__(self, dim: int, seed_moduli=None):
-        self.dim = dim
-        self._pivots: dict[int, list[int]] = {}
-        if seed_moduli is not None:
-            seed_moduli = tuple(seed_moduli)
-            if len(seed_moduli) != dim:
-                raise DimensionError("seed moduli length != dim")
-            for j, s in enumerate(seed_moduli):
-                if s:
-                    vec = [0] * dim
-                    vec[j] = abs(s)
-                    self._pivots[j] = vec
+    def __init__(self, moduli):
+        moduli = tuple(moduli)
+        if min(moduli, default=1) < 1:
+            raise PreconditionError("lattice moduli must be positive")
+        self.dim = dim = len(moduli)
+        self.modulus = lcm(*moduli)
+        self._pivots = [[0] * dim for _ in moduli]
+        for r, s in enumerate(moduli):
+            self._pivots[r][r] = s
 
     def padded(self, extra: int) -> "LatticeBuilder":
-        """An independent builder over the same lattice embedded in
-        Z^(dim + extra): every pivot gains ``extra`` zero tail entries and
-        keeps its row (``padded(0)`` is a copy)."""
-        twin = LatticeBuilder(self.dim + extra)
+        """An independent builder over Z^(dim + extra) of the lattice times
+        D Z^extra: every pivot gains ``extra`` zero tail entries and keeps
+        its row, and the new rows hold D (``padded(0)`` is a copy)."""
+        twin = object.__new__(LatticeBuilder)  # no moduli to check or lcm to take
+        twin.dim, twin.modulus = self.dim + extra, self.modulus
         tail = [0] * extra
-        twin._pivots = {r: piv + tail for r, piv in self._pivots.items()}
+        twin._pivots = [piv + tail for piv in self._pivots]
+        for r in range(self.dim, twin.dim):
+            row = [0] * twin.dim
+            row[r] = self.modulus
+            twin._pivots.append(row)
         return twin
+
+    def _residues(self, vec) -> list[int]:
+        D = self.modulus
+        v = [t % D for t in vec]
+        if len(v) != self.dim:
+            raise DimensionError("vector length != dim")
+        return v
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True if the lattice grew."""
-        v = list(vec)
-        if len(v) != self.dim:
-            raise DimensionError("vector length != dim")
+        D = self.modulus
+        v = self._residues(vec)
         changed = False
-        for r in range(self.dim):
-            if v[r] == 0:
+        for r, piv in enumerate(self._pivots):
+            vr = v[r]
+            if vr == 0:
                 continue
-            piv = self._pivots.get(r)
-            if piv is None:
-                if v[r] < 0:
-                    v = [-t for t in v]
-                self._pivots[r] = v
-                return True
-            pr, vr = piv[r], v[r]
+            pr = piv[r]
             if vr % pr == 0:
                 q = vr // pr
-                v = [t - q * p for t, p in zip(v, piv)]
+                v = [(t - q * p) % D for t, p in zip(v, piv)]
             else:
                 g, x, y = egcd(pr, vr)
-                new_piv = [x * p + y * t for p, t in zip(piv, v)]
-                v = [(pr // g) * t - (vr // g) * p for t, p in zip(v, piv)]
-                self._pivots[r] = new_piv
+                self._pivots[r] = [(x * p + y * t) % D for p, t in zip(piv, v)]
+                v = [((pr // g) * t - (vr // g) * p) % D for t, p in zip(v, piv)]
                 changed = True
         return changed
 
-    def pivot_rows(self) -> list[int]:
-        return sorted(self._pivots)
-
     def _canonicalize(self):
-        rows = self.pivot_rows()
-        for r in rows:
-            piv = self._pivots[r]
-            for r2 in rows:
-                if r2 >= r:
-                    continue
-                other = self._pivots[r2]
-                if other[r]:
-                    q = other[r] // piv[r]
-                    if q:
-                        self._pivots[r2] = [a - q * b for a, b in zip(other, piv)]
+        D = self.modulus
+        pivots = self._pivots
+        for r, piv in enumerate(pivots):
+            pr, tail = piv[r], piv[r:]
+            for other in pivots[:r]:
+                q = other[r] // pr
+                if q:
+                    # from row r on: the entry at r drops into [0, pr)
+                    other[r:] = [(a - q * b) % D for a, b in zip(other[r:], tail)]
 
     def basis_columns(self) -> tuple[tuple[int, ...], ...]:
         self._canonicalize()
-        return tuple(tuple(self._pivots[r]) for r in self.pivot_rows())
+        return tuple(map(tuple, self._pivots))
 
     def reduce(self, vec) -> tuple[int, ...]:
-        """Canonical residue of vec modulo the lattice (needs full rank for
-        residues to be canonical coset labels)."""
-        v = list(vec)
-        if len(v) != self.dim:
-            raise DimensionError("vector length != dim")
-        for r in self.pivot_rows():
-            piv = self._pivots[r]
+        """Canonical residue of vec modulo the lattice: entry r in [0, pivot r)."""
+        D = self.modulus
+        v = self._residues(vec)
+        for r, piv in enumerate(self._pivots):
             q = v[r] // piv[r]
             if q:
-                v = [a - q * b for a, b in zip(v, piv)]
+                v = [(a - q * b) % D for a, b in zip(v, piv)]
         return tuple(v)
 
     def contains(self, vec) -> bool:
         """True iff vec lies in the lattice: walking the rows in order, each
         nonzero entry must be divisible by its row's pivot (pivots vanish
         above their own row, so a later pivot never changes it)."""
-        v = list(vec)
-        if len(v) != self.dim:
-            raise DimensionError("vector length != dim")
-        for r in range(self.dim):
+        D = self.modulus
+        v = self._residues(vec)
+        for r, piv in enumerate(self._pivots):
             vr = v[r]
-            if vr == 0:
-                continue
-            piv = self._pivots.get(r)
-            if piv is None:
-                return False
-            q, rem = divmod(vr, piv[r])
-            if rem:
-                return False
-            v = [a - q * b for a, b in zip(v, piv)]
+            if vr:
+                q, rem = divmod(vr, piv[r])
+                if rem:
+                    return False
+                v = [(a - q * b) % D for a, b in zip(v, piv)]
         return True
 
     def determinant(self) -> int:
-        """Index of the lattice in Z^dim (product of pivots; full rank only)."""
-        if len(self._pivots) != self.dim:
-            raise ValueError("lattice is not full rank")
-        out = 1
-        for r, piv in self._pivots.items():
-            out *= piv[r]
-        return out
+        """Index of the lattice in Z^dim: the product of the pivots."""
+        return prod(piv[r] for r, piv in enumerate(self._pivots))
 
 
 def stacked_lattice(images, target: LatticeBuilder, done: int = 0) -> LatticeBuilder:
@@ -408,6 +405,8 @@ def stacked_lattice(images, target: LatticeBuilder, done: int = 0) -> LatticeBui
     for the target's basis columns t in Z^p and (images[j]; e_j).  Its
     columns with a zero head span the kernel {z : sum_j z_j images[j] in
     target}; the heads of the others span the image lattice plus the target.
+    The new tail rows hold D e_j, D the target's modulus: D images[j] lies
+    in the target, so (0; D e_j) is in the lattice anyway.
 
     ``done`` counts the images whose columns the target already holds: a
     stacked form of images[:done] grows by one column per further image."""
@@ -422,7 +421,7 @@ def preimage(stacked: LatticeBuilder, head: int, vec) -> tuple[int, ...] | None:
     """Some z with sum_j z_j images[j] - vec in the target, read off
     ``stacked = stacked_lattice(images, target)`` with ``head = target.dim``:
     (vec; 0) reduces to (0; -z), or None when its head does not vanish (vec
-    lies outside the image lattice plus the target, for a full-rank target)."""
+    lies outside the image lattice plus the target)."""
     rest = stacked.reduce(tuple(vec) + (0,) * (stacked.dim - head))
     if any(rest[:head]):
         return None
@@ -446,11 +445,7 @@ def solve_modular(columns, b, moduli) -> tuple[int, ...] | None:
     columns, b, moduli = list(columns), tuple(b), tuple(moduli)
     if len(b) != len(moduli):
         raise DimensionError("rhs length != moduli length")
-    if any(s <= 0 for s in moduli):
-        raise ValueError("moduli must be positive")
-    m = len(moduli)
-    stacked = stacked_lattice(columns, LatticeBuilder(m, seed_moduli=moduli))
-    x = preimage(stacked, m, b)
+    x = preimage(stacked_lattice(columns, LatticeBuilder(moduli)), len(moduli), b)
     if x is None:
         return None
     effective = (lcm(1, *(s // gcd(s, c) for s, c in zip(moduli, col))) for col in columns)
@@ -460,9 +455,8 @@ def solve_modular(columns, b, moduli) -> tuple[int, ...] | None:
 def lattice_kernel_mod(columns, moduli) -> tuple[tuple[int, ...], ...]:
     """Basis of {z : sum_j z_j columns[j] == 0 modulo the moduli, row by
     row}, canonical HNF: the kernel of the columns stacked over the moduli."""
-    columns, moduli = list(columns), tuple(moduli)
-    m = len(moduli)
-    return kernel_columns(stacked_lattice(columns, LatticeBuilder(m, seed_moduli=moduli)), m)
+    moduli = tuple(moduli)
+    return kernel_columns(stacked_lattice(list(columns), LatticeBuilder(moduli)), len(moduli))
 
 
 def invariant_factors(relations, k: int):
@@ -506,15 +500,14 @@ def subgroup_of_torus(gens, moduli) -> tuple[tuple[tuple[int, ...], ...], tuple[
     k = len(moduli)
     if any(len(g) != k for g in gens):
         raise DimensionError("generator length != moduli length")
-    gens = [tuple(t % m if m else t for t, m in zip(g, moduli)) for g in gens]
+    gens = [tuple(t % m for t, m in zip(g, moduli)) for g in gens]
     gens = [g for g in gens if any(g)]
     if not gens:
         return (), ()
     orders, to_original, _ = invariant_factors(lattice_kernel_mod(gens, moduli), len(gens))
     new_gens = tuple(
         tuple(
-            sum(c * g[r] for c, g in zip(coeffs, gens)) % moduli[r] if moduli[r] else 0
-            for r in range(k)
+            sum(c * g[r] for c, g in zip(coeffs, gens)) % moduli[r] for r in range(k)
         )
         for coeffs in to_original
     )

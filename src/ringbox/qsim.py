@@ -12,7 +12,9 @@ generator tuple extends the span of its longest memoized prefix; when one
 tuple is a prefix of the other, L_A + L_B is the longer span's lattice.
 A span's stacked Hermite form (``intlinalg.stacked_lattice``, the only
 builder of such forms) extends its parent's in the same way, by one column
-per generator past the prefix.  Hidden subgroups are kernels of additive
+per generator past the prefix; its tail rows are seeded with D e_j, D the
+lcm of the moduli, so every lattice here is a ``LatticeBuilder`` of full
+rank whose entries stay below D.  Hidden subgroups are kernels of additive
 maps, read off one Hermite form: a generator tuple's relation lattice off
 its span's stacked form (``intlinalg.kernel_columns``), and a batch of
 element decompositions' map off the basis span's memoized form (one
@@ -21,11 +23,11 @@ returns the canonical Hermite columns of the hidden subgroup.  A map
 additive by construction (the ring's coordinates, and the intersection,
 colon and annihilator labels of ``ringops``) is then certified without a
 random draw: every vector the solver adds to the moduli maps into the
-target, and the moduli lie in the kernel (the kernel's triangular columns
-keep their determinant when the moduli are added; over a basis, e x_j = 0
-for each element's modulus e).  Any other map (the hom kernel's, or any
-other caller-supplied ``post``) is spot-checked by random rounds of oracle
-evaluations.  The *sampled* backend consults the same ground truth
+target, and the moduli lie in the kernel: s_j post(g_j) lies in the target
+for each generator g_j whose order nothing else certified (each element of
+a map over a basis, every generator otherwise).  Any other map (the hom
+kernel's, or any other caller-supplied ``post``) is spot-checked by random
+rounds of oracle evaluations.  The *sampled* backend consults the same ground truth
 internally but exposes only measurement-shaped data: swap-test shots with
 the correct Bernoulli law, characters drawn uniformly from the annihilator
 dual as mixed-radix combinations of its Hermite columns, reduced to at most
@@ -47,7 +49,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, lcm, log, prod, sqrt
+from math import ceil, lcm, log, sqrt
 from random import Random
 
 from .blackbox import DESK_CAP, ElementCode, RingOracle
@@ -124,8 +126,8 @@ class HidingFunction:
 
     Every hiding map used here has the shape z -> post(sum_j z_j * g_j)
     modulo ``target``: ``post`` is an additive map from element codes into
-    Z^p and ``target`` a full-rank lattice in Z^p, so the hidden subgroup is
-    the kernel.  Both default to the ring's own coordinates (labels are then
+    Z^p and ``target`` a lattice in Z^p, so the hidden subgroup is the
+    kernel.  Both default to the ring's own coordinates (labels are then
     the elements themselves).  ``solve_ahsp`` answers with the kernel's
     canonical Hermite columns over Z^l; ``moduli`` is their ambient torus,
     and the caller's own record of it.
@@ -190,8 +192,7 @@ class HidingFunction:
 
 
 def _moduli_lattice(ring: RingOracle) -> LatticeBuilder:
-    moduli = ring.spec._moduli
-    return LatticeBuilder(len(moduli), seed_moduli=moduli)
+    return LatticeBuilder(ring.spec._moduli)
 
 
 def _annihilator(vectors, moduli, full: int = 0) -> tuple[tuple[int, ...], ...] | None:
@@ -199,16 +200,17 @@ def _annihilator(vectors, moduli, full: int = 0) -> tuple[tuple[int, ...], ...] 
 
     The vectors, scaled by big / m_j (big = lcm(moduli)), are first reduced
     to the at most l Hermite rows of their row lattice modulo big: same
-    kernel.  Each insert that grows the rows makes them canonical again.
-    None as soon as a growing insert brings their determinant down to
-    ``full``."""
+    kernel; their entries stay below big.  None as soon as their
+    determinant is ``full``: before the first insert (the dual of L = Z^l
+    is {0}), or after a growing one."""
     big = lcm(*moduli)
-    rows = LatticeBuilder(len(moduli), seed_moduli=[big] * len(moduli))
+    rows = LatticeBuilder([big] * len(moduli))
+    if rows.determinant() == full:
+        return None
     for y in vectors:
         if rows.add([v * (big // m) for v, m in zip(y, moduli)]):
             if rows.determinant() == full:
                 return None
-            rows.basis_columns()
     basis = rows.basis_columns()
     return lattice_kernel_mod(zip(*basis), [big] * len(basis))
 
@@ -224,7 +226,7 @@ def _reconstruct(characters, moduli, hidden: LatticeBuilder) -> tuple[tuple[int,
     kernel = _annihilator(characters, moduli, dual_det)
     if kernel is None:
         return hidden.basis_columns()
-    lattice = LatticeBuilder(len(moduli), seed_moduli=moduli)
+    lattice = LatticeBuilder(moduli)
     for col in kernel:
         lattice.add(col)
     return lattice.basis_columns()
@@ -270,7 +272,6 @@ class _Span:
             image = ring._coords(g)
             self._images.append(image)
             self.lattice.add(image)
-        self.columns = self.lattice.basis_columns()
         self.order = ring._ring_size() // self.lattice.determinant()
         self._parent = parent
         self._stacked = None
@@ -401,8 +402,8 @@ class PrimitiveProvider:
         elif ga[: len(gb)] == gb:
             total = sa.lattice
         else:
-            total = LatticeBuilder(sa.dim)
-            for col in sa.columns + sb.columns:
+            total = sa.lattice.padded(0)
+            for col in sb.lattice.basis_columns():
                 total.add(col)
         offset = [0] * sa.dim
         for off, sign in ((a.offset, 1), (b.offset, -1)):
@@ -480,11 +481,12 @@ class PrimitiveProvider:
         form and the images off its generators' span.
 
         A map additive by construction is certified, drawing nothing: each
-        vector added to the moduli maps into the target, and the moduli lie
-        in the kernel.  Any other map is spot-checked through the oracle."""
+        vector added to the moduli maps into the target, and s_j post(g_j)
+        lies in the target for each generator whose order is not certified
+        yet.  Any other map is spot-checked through the oracle."""
         ring, gens, target = hiding.ring, hiding.combo_generators, hiding.target
-        k, t = len(hiding.moduli), hiding.over_basis
-        lattice = LatticeBuilder(k, seed_moduli=hiding.moduli)
+        t = hiding.over_basis
+        lattice = LatticeBuilder(hiding.moduli)
         if t:
             span = self._span(ring, gens[t:])
             images = [ring._coords(x) for x in gens[:t]]
@@ -495,14 +497,9 @@ class PrimitiveProvider:
                 tuple(int(i == j) for i in range(t)) + tuple(-v for v in n)
                 for j, n in enumerate(ns)
             ]
-            for vec in added:
-                lattice.add(vec)
-            # decompose_group certified the basis orders; the elements' must hold too
-            moduli_hold = all(
-                target.contains([s * v for v in image])
-                for s, image in zip(hiding.moduli, images)
-            )
-            images += span._images
+            # decompose_group certified the basis orders, not the elements'
+            unchecked = images
+            images = images + span._images
         else:
             if hiding._relations:  # the span stores the images and the form
                 span = self._span(ring, gens)
@@ -511,16 +508,15 @@ class PrimitiveProvider:
                 images = [hiding.post(g) for g in gens]
                 stacked = stacked_lattice(images, target)
             added = kernel_columns(stacked, target.dim)
-            for vec in added:
-                lattice.add(vec)
-            # the kernel's triangular columns contain every s_j e_j iff
-            # seeding them with the moduli keeps their determinant
-            moduli_hold = len(added) == k and prod(
-                col[j] for j, col in enumerate(added)
-            ) == lattice.determinant()
+            unchecked = images
+        for vec in added:
+            lattice.add(vec)
         if not hiding.additive:
             self._spot_check(hiding, lattice)
-        elif not moduli_hold:
+        elif not all(
+            target.contains([s * v for v in image])
+            for s, image in zip(hiding.moduli, unchecked)
+        ):
             raise _broken(hiding, "does not vanish on its moduli")
         else:
             _certify(hiding, images, added)

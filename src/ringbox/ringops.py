@@ -172,7 +172,7 @@ def _label_map(coords, lattice: LatticeBuilder, maps, additive: bool):
 
     copies, dim = len(maps), lattice.dim
     columns = lattice.basis_columns()
-    target = LatticeBuilder(dim * copies)
+    target = LatticeBuilder((lattice.modulus,) * (dim * copies))
     for b in range(copies):
         for col in columns:
             target.add((0,) * (b * dim) + col + (0,) * ((copies - b - 1) * dim))
@@ -492,8 +492,8 @@ def _quotient_is_field(ring_rep: BasisRepresentation, lat: LatticeBuilder) -> bo
 
     unit = [tuple(int(a == c) for c in range(k)) for a in range(k)]
     frob = [_double_and_add(mul, e, p) for e in unit]
-    image = LatticeBuilder(k, seed_moduli=(p,) * k)
-    fixed = LatticeBuilder(k, seed_moduli=(p,) * k)
+    image = LatticeBuilder((p,) * k)
+    fixed = LatticeBuilder((p,) * k)
     for a in range(k):
         image.add(frob[a])
         fixed.add(tuple(f - e for f, e in zip(frob[a], unit[a])))

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -21,7 +22,7 @@ from ringbox.blackbox import (
     parse_element_literal,
 )
 from ringbox.errors import MembershipError
-from ringbox.intlinalg import stacked_lattice, subgroup_of_torus
+from ringbox.intlinalg import invariant_factors, stacked_lattice, subgroup_of_torus
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
 from ringbox.verify import additive_span, ring_elements
 from test_acceptance import DESK_SUITE
@@ -41,7 +42,8 @@ def test_presentation_invariants():
     four, six = codes(r, 4, 6)
     pres = present_group(r, (four, six), p)
     assert pres.orders == (3, 2)
-    assert pres.group_order() == len(additive_span(r, (four, six)))
+    orders, _, _ = invariant_factors(pres.relation_lattice, len(pres.orders))
+    assert prod(orders) == len(additive_span(r, (four, six)))
 
 
 def test_decompose_group_z2xz9_single_factor_18():

@@ -24,7 +24,7 @@ from ringbox.intlinalg import (
     subgroup_of_torus,
 )
 
-from matrix_algebra import apply, columns, identity, is_diagonal, matmul
+from matrix_algebra import ReferenceHermite, apply, columns, identity, is_diagonal, matmul
 
 
 def check_snf(a: IntMatrix):
@@ -143,7 +143,7 @@ def test_modular_vs_exhaustive(system):
 
 def test_preimage_reads_the_stacked_form():
     # images 4 and 6 in Z_12: the image lattice plus 12Z is 2Z
-    stacked = stacked_lattice([(4,), (6,)], LatticeBuilder(1, seed_moduli=[12]))
+    stacked = stacked_lattice([(4,), (6,)], LatticeBuilder([12]))
     z = preimage(stacked, 1, (10,))
     assert z is not None and (4 * z[0] + 6 * z[1] - 10) % 12 == 0
     assert preimage(stacked, 1, (3,)) is None
@@ -151,14 +151,15 @@ def test_preimage_reads_the_stacked_form():
 
 
 def pivot_snapshot(lat):
-    return {r: tuple(piv) for r, piv in lat._pivots.items()}
+    return tuple(map(tuple, lat._pivots))
 
 
 def stacked_by_re_adding(images, target):
-    """The stacked form built without padding the target: an empty builder
-    takes the target's canonical columns, then the image columns."""
+    """The stacked form built without padding the target: a builder with
+    the target's modulus D on every row takes the target's canonical
+    columns, then the image columns."""
     k = len(images)
-    lat = LatticeBuilder(target.dim + k)
+    lat = LatticeBuilder((target.modulus,) * (target.dim + k))
     for col in target.basis_columns():
         lat.add(col + (0,) * k)
     for j, v in enumerate(images):
@@ -168,8 +169,8 @@ def stacked_by_re_adding(images, target):
 
 @st.composite
 def stacked_cases(draw, seeded_only=False):
-    """(images, full-rank target, prefix length) with the target seeded or
-    built by ``add``, plus vectors to query."""
+    """(images, target, prefix length) with the target seeded with its
+    moduli or built by ``add`` over their lcm, plus vectors to query."""
     p = draw(st.integers(1, 3))
     k = draw(st.integers(0, 4))
     vector = st.lists(st.integers(-20, 20), min_size=p, max_size=p)
@@ -177,9 +178,9 @@ def stacked_cases(draw, seeded_only=False):
     moduli = draw(st.lists(st.integers(1, 12), min_size=p, max_size=p))
     seeded = seeded_only or draw(st.booleans())
     if seeded:
-        target = LatticeBuilder(p, seed_moduli=moduli)
+        target = LatticeBuilder(moduli)
     else:
-        target = LatticeBuilder(p)
+        target = LatticeBuilder((lcm(*moduli),) * p)
         for j, s in enumerate(moduli):
             target.add([s if i == j else 0 for i in range(p)])
     if not seeded_only:
@@ -224,7 +225,7 @@ def test_kernel_columns_are_the_zero_head_tails(case):
 
 
 def test_lattice_builder_reduce_canonical():
-    lat = LatticeBuilder(2, seed_moduli=[12, 12])
+    lat = LatticeBuilder([12, 12])
     lat.add([4, 0])
     assert lat.contains([8, 0])
     assert lat.contains([0, 12])
@@ -235,30 +236,37 @@ def test_lattice_builder_reduce_canonical():
 
 
 def test_lattice_determinant_counts_cosets():
-    lat = LatticeBuilder(2, seed_moduli=[6, 4])
+    lat = LatticeBuilder([6, 4])
     lat.add([2, 0])
     # residues should enumerate exactly det-many distinct values
     seen = {lat.reduce([a, b]) for a in range(6) for b in range(4)}
     assert len(seen) == lat.determinant()
 
 
-def test_seed_moduli_may_be_an_iterator():
-    lat = LatticeBuilder(2, seed_moduli=(m for m in (2, 3)))
+def test_moduli_may_be_an_iterator():
+    lat = LatticeBuilder(m for m in (2, 3))
+    assert lat.dim == 2 and lat.modulus == 6
     assert lat.basis_columns() == ((2, 0), (0, 3))
     assert lat.determinant() == 6
     with pytest.raises(DimensionError):
-        LatticeBuilder(3, seed_moduli=(m for m in (2, 3)))
+        lat.add((1, 2, 3))
 
 
-def rebuilt(dim, moduli, vectors) -> LatticeBuilder:
-    lat = LatticeBuilder(dim, seed_moduli=moduli)
+@pytest.mark.parametrize("moduli", [(0,), (3, -2), (4, 0, 2)])
+def test_lattice_moduli_must_be_positive(moduli):
+    with pytest.raises(PreconditionError):
+        LatticeBuilder(moduli)
+    with pytest.raises(PreconditionError):
+        LatticeBuilder(iter(moduli))
+    with pytest.raises(PreconditionError):
+        solve_modular([(1,) * len(moduli)], (0,) * len(moduli), moduli)
+
+
+def rebuilt(moduli, vectors) -> LatticeBuilder:
+    lat = LatticeBuilder(moduli)
     for v in vectors:
         lat.add(v)
     return lat
-
-
-def full_rank(lat: LatticeBuilder) -> bool:
-    return len(lat.pivot_rows()) == lat.dim
 
 
 LATTICE_DIM = 3
@@ -266,7 +274,7 @@ LATTICE_VECTORS = st.lists(
     st.integers(-30, 30), min_size=LATTICE_DIM, max_size=LATTICE_DIM
 )
 LATTICE_MODULI = st.lists(
-    st.integers(-12, 12), min_size=LATTICE_DIM, max_size=LATTICE_DIM
+    st.integers(1, 12), min_size=LATTICE_DIM, max_size=LATTICE_DIM
 )
 LATTICE_QUERIES = ("basis_columns", "reduce", "contains", "determinant")
 
@@ -283,28 +291,23 @@ def test_interleaved_queries_match_a_rebuilt_builder(moduli, steps):
     """Any interleaving of adds and queries (each canonicalizing or reading
     the pivots) answers as a builder that took the same vectors without
     queries in between."""
-    lat = LatticeBuilder(LATTICE_DIM, seed_moduli=moduli)
+    lat = LatticeBuilder(moduli)
     added = []
     for name, vec in steps:
         if name == "add":
             lat.add(vec)
             added.append(vec)
             continue
-        fresh = rebuilt(LATTICE_DIM, moduli, added)
+        fresh = rebuilt(moduli, added)
         if name == "basis_columns":
             assert lat.basis_columns() == fresh.basis_columns()
         elif name == "contains":
             assert lat.contains(vec) == fresh.contains(vec)
-        elif name == "reduce" and full_rank(fresh):
+        elif name == "reduce":
             assert lat.reduce(vec) == fresh.reduce(vec)
-        elif name == "reduce":  # residues short of full rank depend on the basis
-            assert (not any(lat.reduce(vec))) == fresh.contains(vec)
-        elif full_rank(fresh):
-            assert lat.determinant() == fresh.determinant()
         else:
-            with pytest.raises(ValueError):
-                lat.determinant()
-    assert lat.basis_columns() == rebuilt(LATTICE_DIM, moduli, added).basis_columns()
+            assert lat.determinant() == fresh.determinant()
+    assert lat.basis_columns() == rebuilt(moduli, added).basis_columns()
 
 
 @given(
@@ -315,28 +318,26 @@ def test_interleaved_queries_match_a_rebuilt_builder(moduli, steps):
 )
 @settings(max_examples=100, deadline=None)
 def test_adding_to_a_copy_leaves_the_original(moduli, first, more, canonical):
-    lat = rebuilt(LATTICE_DIM, moduli, first)
+    lat = rebuilt(moduli, first)
     if canonical:
         lat.basis_columns()
     twin = lat.padded(0)
     for v in more:
         twin.add(v)
-    assert lat.basis_columns() == rebuilt(LATTICE_DIM, moduli, first).basis_columns()
-    assert (
-        twin.basis_columns()
-        == rebuilt(LATTICE_DIM, moduli, first + more).basis_columns()
-    )
+    assert lat.basis_columns() == rebuilt(moduli, first).basis_columns()
+    assert twin.basis_columns() == rebuilt(moduli, first + more).basis_columns()
 
 
-@given(st.lists(st.integers(-12, 12), min_size=1, max_size=4), LATTICE_VECTORS)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), LATTICE_VECTORS)
 @settings(max_examples=100, deadline=None)
 def test_direct_seeding_equals_added_seeding(moduli, vec):
+    # seeding with the moduli, or adding them to a builder of their lcm
     k = len(moduli)
-    seeded = LatticeBuilder(k, seed_moduli=moduli)
-    added = LatticeBuilder(k)
+    seeded = LatticeBuilder(moduli)
+    added = LatticeBuilder((lcm(*moduli),) * k)
     for j, s in enumerate(moduli):
         added.add([s if i == j else 0 for i in range(k)])
-    assert seeded.pivot_rows() == added.pivot_rows()
+    assert seeded._pivots == added._pivots
     assert seeded.basis_columns() == added.basis_columns()
     vec = (vec * k)[:k]
     assert seeded.add(vec) == added.add(vec)
@@ -346,7 +347,7 @@ def test_direct_seeding_equals_added_seeding(moduli, vec):
 @given(
     st.integers(0, 4).flatmap(
         lambda dim: st.tuples(
-            st.one_of(st.none(), st.lists(st.integers(-12, 12), min_size=dim, max_size=dim)),
+            st.lists(st.integers(1, 12), min_size=dim, max_size=dim),
             st.lists(st.lists(st.integers(-30, 30), min_size=dim, max_size=dim), max_size=4),
             st.lists(st.lists(st.integers(-60, 60), min_size=dim, max_size=dim), max_size=6),
             st.just(dim),
@@ -357,9 +358,9 @@ def test_direct_seeding_equals_added_seeding(moduli, vec):
 @settings(max_examples=200, deadline=None)
 def test_contains_agrees_with_a_zero_residue(case, canonical):
     """``contains`` walks the rows without building a residue; it must say
-    what a zero residue says, seeded or not, short of full rank or not."""
+    what a zero residue says."""
     moduli, vectors, queries, dim = case
-    lat = rebuilt(dim, moduli, vectors)
+    lat = rebuilt(moduli, vectors)
     if canonical:
         lat.basis_columns()
     for vec in queries + vectors + [[0] * dim]:
@@ -369,9 +370,83 @@ def test_contains_agrees_with_a_zero_residue(case, canonical):
         lat.contains([0] * (dim + 1))
 
 
+def reference_of(lat: LatticeBuilder, cols) -> ReferenceHermite:
+    ref = ReferenceHermite(lat.dim)
+    for col in cols:
+        ref.add(col)
+    return ref
+
+
+def assert_bounded(lat: LatticeBuilder):
+    """Pivots divide D = lcm(moduli); every other entry lies in [0, D)."""
+    D = lat.modulus
+    for r, piv in enumerate(lat._pivots):
+        assert not any(piv[:r]) and D % piv[r] == 0
+        assert all(0 <= t < D for t in piv[r + 1 :])
+
+
+BOUNDED_ENTRIES = st.one_of(st.integers(-40, 40), st.integers(-(10**12), 10**12))
+
+
+@st.composite
+def bounded_builder_runs(draw):
+    """Positive moduli (dim <= 4) and steps: adds, padded twins and queries."""
+    moduli = draw(st.lists(st.integers(1, 36), max_size=4))
+    steps = []
+    dim = len(moduli)
+    for _ in range(draw(st.integers(0, 16))):
+        name = draw(st.sampled_from(("add", "add", "padded") + LATTICE_QUERIES))
+        if name == "padded":
+            extra = draw(st.integers(0, 2 if dim < 4 else 0))
+            dim += extra
+            steps.append((name, extra))
+        else:
+            steps.append((name, draw(st.lists(BOUNDED_ENTRIES, min_size=dim, max_size=dim))))
+    return moduli, steps
+
+
+@given(bounded_builder_runs())
+@settings(max_examples=200, deadline=None)
+def test_bounded_builder_matches_an_unbounded_hermite_form(case):
+    """Every add keeps the builder's entries below D, and every query
+    answers as the plain Hermite form of the same columns (the moduli, the
+    added vectors, and D e_j for each padded row) does.  A padded twin
+    leaves the builder it came from as it was."""
+    moduli, steps = case
+    lat = LatticeBuilder(moduli)
+    D = lat.modulus
+    cols = [tuple(s * int(i == j) for i in range(len(moduli))) for j, s in enumerate(moduli)]
+    left = []  # (builder, its columns) of every builder a twin replaced
+    for name, arg in steps:
+        if name == "add":
+            lat.add(arg)
+            cols.append(tuple(arg))
+        elif name == "padded":
+            left.append((lat, cols, lat.basis_columns()))
+            dim, lat = lat.dim, lat.padded(arg)
+            cols = [c + (0,) * arg for c in cols]
+            cols += [tuple(D * int(i == j) for i in range(dim + arg)) for j in range(dim, dim + arg)]
+            assert lat.modulus == D
+        else:
+            ref = reference_of(lat, cols)
+            if name == "basis_columns":
+                assert lat.basis_columns() == ref.basis_columns()
+            elif name == "reduce":
+                assert lat.reduce(arg) == ref.reduce(arg)
+            elif name == "contains":
+                assert lat.contains(arg) == ref.contains(arg)
+                assert lat.contains(tuple(t * D for t in arg))
+            else:
+                assert lat.determinant() == ref.determinant()
+        assert_bounded(lat)
+    assert lat.basis_columns() == reference_of(lat, cols).basis_columns()
+    for old, old_cols, before in left:
+        assert old.basis_columns() == before == reference_of(old, old_cols).basis_columns()
+
+
 def test_lattice_kernel_mod_simple():
     basis = lattice_kernel_mod([(4,)], [12])
-    lat = LatticeBuilder(1)
+    lat = LatticeBuilder([12])
     for col in basis:
         lat.add(col)
     assert lat.contains([3]) and not lat.contains([1])
@@ -400,16 +475,14 @@ def check_kernel_mod(w: IntMatrix, moduli, half: int):
         assert all(0 <= other[r] < col[r] for other in basis if other is not col)
 
     def in_kernel(z):
-        return all(
-            v % s == 0 if s else v == 0 for v, s in zip(apply(w, z), moduli)
-        )
+        return all(v % s == 0 for v, s in zip(apply(w, z), moduli))
 
     assert all(in_kernel(col) for col in basis)
     for z in product(range(-half, half + 1), repeat=w.cols):
         assert in_echelon_span(basis, z) == in_kernel(z), z
 
 
-KERNEL_MODULI = (0, 1, 2, 3, 4, 6, 8, 12)
+KERNEL_MODULI = (1, 2, 3, 4, 6, 8, 12)
 BOX_HALF = {0: 0, 1: 12, 2: 12, 3: 6, 4: 4}
 
 
@@ -432,7 +505,7 @@ def test_lattice_kernel_mod_zero_rows(n):
 @settings(max_examples=40, deadline=None)
 def test_lattice_kernel_mod_tall_shared_modulus(l, extra, data):
     # the sampled solver's shape: one row per character y, y_j scaled by big/s_j
-    s = data.draw(st.lists(st.sampled_from(KERNEL_MODULI[1:]), min_size=l, max_size=l))
+    s = data.draw(st.lists(st.sampled_from(KERNEL_MODULI), min_size=l, max_size=l))
     big = lcm(*s)
     rows = [
         [data.draw(st.integers(0, sj - 1)) * (big // sj) for sj in s]
@@ -489,9 +562,7 @@ def test_invariant_factors_of_seeded_lattice(k, extra, data):
         relations.append(
             tuple(data.draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k)))
         )
-    lat = LatticeBuilder(k)
-    for col in relations:
-        lat.add(col)
+    lat = rebuilt(moduli, relations)
     orders, to_original, from_original = invariant_factors(relations, k)
     assert 1 not in orders
     assert all(o > 0 for o in orders)

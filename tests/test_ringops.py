@@ -345,14 +345,14 @@ def test_field_test_refuses_a_noncommutative_quotient():
 
     basis = [(2, 2, 2, 1), (2, 2, 2, 0), (1, 1, 2, 0), (2, 0, 1, 1)]
     rep = SimpleNamespace(orders=(3,) * 4, tensor=structure_tensor(basis, mat_mul, 3))
-    assert not _quotient_is_field(rep, LatticeBuilder(4, seed_moduli=(3,) * 4))
+    assert not _quotient_is_field(rep, LatticeBuilder((3,) * 4))
 
     def f9_mul(x, y):  # F_3[i]/(i^2 + 1), as (re, im)
         return ((x[0] * y[0] - x[1] * y[1]) % 3, (x[0] * y[1] + x[1] * y[0]) % 3)
 
     tensor = structure_tensor([(1, 1), (2, 0)], f9_mul, 3)
     rep = SimpleNamespace(orders=(3, 3), tensor=tensor)
-    assert _quotient_is_field(rep, LatticeBuilder(2, seed_moduli=(3, 3)))
+    assert _quotient_is_field(rep, LatticeBuilder((3, 3)))
 
 
 def test_prime_needs_two_sided_ideal():
