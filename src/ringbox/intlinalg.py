@@ -460,30 +460,25 @@ def lattice_kernel_mod(columns, moduli) -> tuple[tuple[int, ...], ...]:
 
 
 def invariant_factors(relations, k: int):
-    """Invariant-factor form of Z^k modulo the lattice spanned by the columns
-    ``relations``.
+    """Invariant-factor form of the finite group Z^k / L, for a full-rank
+    lattice L spanned by the columns ``relations`` (the callers pass L's k
+    canonical Hermite columns).
 
     Returns (orders, to_original, from_original): ascending orders
-    o_1 | o_2 | ... with unit factors dropped (0 for an infinite factor);
-    to_original[i] is the i-th new generator over the standard basis;
-    from_original[j] expresses e_j over the new generators, entry t reduced
-    modulo o_t.  One Smith form U*A*V = D of the relation matrix A gives all
-    three: the new generators are columns of U^-1, e_j's coordinates are
-    column j of U.
+    o_1 | o_2 | ... with unit factors dropped; to_original[i] is the i-th
+    new generator over the standard basis; from_original[j] expresses e_j
+    over the new generators, entry t reduced modulo o_t.  One Smith form
+    U*A*V = D of the relation matrix A gives all three: the new
+    generators are columns of U^-1, e_j's coordinates are column j of U.
     """
-    rel = (
-        IntMatrix.from_rows([[col[i] for col in relations] for i in range(k)])
-        if relations
-        else IntMatrix.zeros(k, 0)
-    )
+    rel = IntMatrix.from_rows([[col[i] for col in relations] for i in range(k)])
     snf = smith_normal_form(rel)
-    d = snf.diagonal() + (0,) * k  # rows past the relation count: infinite
+    d = snf.diagonal()  # k nonzero entries: L has full rank
     kept = [i for i in range(k) if d[i] != 1]
     orders = tuple(d[i] for i in kept)
     to_original = tuple(snf.u_inv.col(i) for i in kept)
     from_original = tuple(
-        tuple(snf.U.at(i, j) % o if o else snf.U.at(i, j) for i, o in zip(kept, orders))
-        for j in range(k)
+        tuple(snf.U.at(i, j) % o for i, o in zip(kept, orders)) for j in range(k)
     )
     return orders, to_original, from_original
 

@@ -30,14 +30,18 @@ kernel's, or any other caller-supplied ``post``) is spot-checked by random
 rounds of oracle evaluations.  The *sampled* backend consults the same ground truth
 internally but exposes only measurement-shaped data: swap-test shots with
 the correct Bernoulli law, characters drawn uniformly from the annihilator
-dual as mixed-radix combinations of its Hermite columns, reduced to at most
-l Hermite rows (l the hiding map's dimension) until the rows' determinant
-reaches big^l / det(L) (big the lcm of the moduli, L the hidden lattice):
-the rows then span the whole scaled dual, whose kernel is L, so L is the
-answer; a batch that never reaches it gives the kernel of its rows lifted
-over the moduli.  Period-finding outcomes are concentrated near multiples
-of q/c and followed by continued-fraction reconstruction; each additive
-order is found once per provider.  Consumers are written against the
+dual as mixed-radix combinations of its Hermite columns (diag(m) H^{-T} for
+the hidden lattice L's triangular Hermite columns H, read off by
+back-substitution).  A solve builds characters, reducing them to at most l
+Hermite rows (l the hiding map's dimension), only until the rows'
+determinant reaches big^l / det(L) (big the lcm of the moduli): the rows
+then span the whole scaled dual, whose kernel is L, so L is the answer.
+The rest of its batch makes the same random draws and is charged, but
+nothing is built from it.  A batch that never reaches it gives the kernel
+of its rows (the dual of the row lattice, by the same back-substitution)
+lifted over the moduli.  Period-finding outcomes are concentrated near
+multiples of q/c and followed by continued-fraction reconstruction; each
+additive order is found once per provider.  Consumers are written against the
 sample interface and never receive the hidden structure directly.
 
 All ground-truth queries run on the ring's unmetered channel: a stand-in
@@ -49,7 +53,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, lcm, log, sqrt
+from math import ceil, lcm, log, prod, sqrt
 from random import Random
 
 from .blackbox import DESK_CAP, ElementCode, RingOracle
@@ -62,7 +66,6 @@ from .errors import (
 from .intlinalg import (
     LatticeBuilder,
     kernel_columns,
-    lattice_kernel_mod,
     preimage,
     stacked_lattice,
 )
@@ -195,14 +198,43 @@ def _moduli_lattice(ring: RingOracle) -> LatticeBuilder:
     return LatticeBuilder(ring.spec._moduli)
 
 
+def _dual(columns, moduli) -> tuple[tuple[int, ...], ...]:
+    """HNF columns of {z in Z^l : sum_j h_j z_j / m_j in Z for every h in L},
+    for the canonical columns H of a full-rank lattice L holding every
+    m_j e_j: the columns of diag(m) H^{-T}, read off by back-substitution
+    (Micciancio & Goldwasser, Complexity of Lattice Problems, 2002, ch. 1).
+    H is triangular with pivot product P = det(L).  For each c, H^T y = P e_c
+    is solved bottom-up, each y_i pushed into the entries left of the pivot
+    on row i of H as soon as it is known; every division is exact, because
+    P H^{-T} is integral."""
+    l = len(moduli)
+    pivots = [col[r] for r, col in enumerate(columns)]
+    total = prod(pivots)
+    # row i of H left of its pivot, as (column, entry) pairs
+    rows = [[(r, col[i]) for r, col in enumerate(columns[:i]) if col[i]] for i in range(l)]
+    dual = LatticeBuilder(moduli)
+    for c in reversed(range(l)):  # the longest first: fewer rewrites
+        # until its turn, y[i] holds sum_{k > i} H[k][i] y_k - P [i = c]
+        y = [0] * l
+        y[c] = -total
+        for i in range(c, -1, -1):
+            if y[i]:
+                y[i] = -y[i] // pivots[i]
+                for r, h in rows[i]:
+                    y[r] += h * y[i]
+        dual.add([m * v // total for m, v in zip(moduli, y)])
+    return dual.basis_columns()
+
+
 def _annihilator(vectors, moduli, full: int = 0) -> tuple[tuple[int, ...], ...] | None:
     """HNF columns of {z in Z^l : sum_j y_j z_j / m_j in Z for every y}.
 
     The vectors, scaled by big / m_j (big = lcm(moduli)), are first reduced
     to the at most l Hermite rows of their row lattice modulo big: same
-    kernel; their entries stay below big.  None as soon as their
+    kernel; their entries stay below big.  That kernel is the dual of the
+    row lattice over the moduli (big, ..., big).  None as soon as the rows'
     determinant is ``full``: before the first insert (the dual of L = Z^l
-    is {0}), or after a growing one."""
+    is {0}), or after a growing one; the vectors are then read no further."""
     big = lcm(*moduli)
     rows = LatticeBuilder([big] * len(moduli))
     if rows.determinant() == full:
@@ -211,8 +243,7 @@ def _annihilator(vectors, moduli, full: int = 0) -> tuple[tuple[int, ...], ...] 
         if rows.add([v * (big // m) for v, m in zip(y, moduli)]):
             if rows.determinant() == full:
                 return None
-    basis = rows.basis_columns()
-    return lattice_kernel_mod(zip(*basis), [big] * len(basis))
+    return _dual(rows.basis_columns(), [big] * len(moduli))
 
 
 def _reconstruct(characters, moduli, hidden: LatticeBuilder) -> tuple[tuple[int, ...], ...]:
@@ -527,26 +558,49 @@ class PrimitiveProvider:
     ) -> list[CharacterSample]:
         """Independent uniform samples from the character group annihilating
         the hidden subgroup: sum_i c_i b_i mod m over the dual's triangular
-        Hermite columns b_i, of pivots d_i | m_i, with c_i uniform in
-        [0, m_i / d_i) (a mixed-radix draw; Cohen, GTM 138, 2.4.3).
-        ``hidden`` is the hidden subgroup's lattice when the caller already
-        holds it."""
+        Hermite columns b_i (``_dual``), of pivots d_i | m_i, with c_i
+        uniform in [0, m_i / d_i) (a mixed-radix draw; Cohen, GTM 138,
+        2.4.3).  Every call draws the whole batch and is charged for it.
+
+        ``hidden`` is the hidden subgroup's lattice L when the solve already
+        holds it.  Then a character is built only while the scaled rows of
+        those built so far fall short of the dual (``_annihilator`` with
+        full = big^l / det(L)); the rest of the batch makes the same draws,
+        builds nothing, and only the characters built are returned.  A
+        character drawn after the rows span the dual cannot change their
+        joint kernel."""
         moduli = hiding.moduli
-        if hidden is None:
+        solving = hidden is not None
+        if not solving:
             hidden = self._hidden_subgroup_exact(hiding)
-        dual = _annihilator(hidden.basis_columns(), moduli)
+        dual = _dual(hidden.basis_columns(), moduli)
         radices = [
             (col, m // col[i]) for i, (col, m) in enumerate(zip(dual, moduli)) if col[i] != m
         ]
-        out = []
-        for _ in range(batch):
+        randrange = self.rng.randrange
+
+        def character():
             y = [0] * len(moduli)
             for col, radix in radices:
-                c = self.rng.randrange(radix)
+                c = randrange(radix)
                 if c:
                     y = [a + c * b for a, b in zip(y, col)]
-            out.append(tuple(a % s for a, s in zip(y, moduli)))
+            return tuple(a % s for a, s in zip(y, moduli))
+
         self.stats["characters"] += batch
+        if not solving:
+            return [character() for _ in range(batch)]
+        out = []
+
+        def built():
+            for _ in range(batch):
+                out.append(character())
+                yield out[-1]
+
+        _annihilator(built(), moduli, lcm(*moduli) ** len(moduli) // hidden.determinant())
+        for _ in range(batch - len(out)):  # the rest of the batch: drawn, not built
+            for _, radix in radices:
+                randrange(radix)
         return out
 
     def solve_ahsp(self, hiding: HidingFunction) -> tuple[tuple[int, ...], ...]:
@@ -554,19 +608,22 @@ class PrimitiveProvider:
         to Z^l (which contains every s_j e_j).
 
         Exact backend: certain.  Sampled backend: reconstructed from a batch
-        of sampled characters (``_reconstruct``): their scaled rows are
-        reduced until they span the whole dual, and then the answer is the
-        hidden lattice the ground truth drew them over; a batch that never
-        spans it gives the joint kernel of its rows.  The batch size makes
-        the failure probability negligible against the configured epsilon.
+        of sampled characters.  The sampler builds them until their scaled
+        rows span the whole dual, and then the answer is the hidden lattice
+        the ground truth drew them over; a batch that never spans it is
+        built whole, and gives the joint kernel of its rows lifted over the
+        moduli (``_reconstruct``).  The batch size makes the failure
+        probability negligible against the configured epsilon.
         """
         hidden = self._hidden_subgroup_exact(hiding)
         if not self.sampled:
             return hidden.basis_columns()
         moduli = hiding.moduli
-        extra = max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
-        samples = self.sample_hidden_subgroup_characters(hiding, len(moduli) + extra, hidden)
-        return _reconstruct(samples, moduli, hidden)
+        batch = len(moduli) + max(32, ceil(log(1.0 / self.config.epsilon, 2)) + 8)
+        built = self.sample_hidden_subgroup_characters(hiding, batch, hidden)
+        if len(built) < batch:  # the sampler stopped building at the span
+            return hidden.basis_columns()
+        return _reconstruct(built, moduli, hidden)
 
     # ---- order finding ----
 

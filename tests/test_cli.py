@@ -210,6 +210,19 @@ def test_ring_order_of_a_rank_9_matrix_ring(ring_file, capsys):
     assert time.perf_counter() - t0 < 5.0
 
 
+def test_sampled_ring_order_at_rank_32(ring_file, capsys):
+    # F_2[x]/(x^32 + x + 1): each sampled solve reads its dual by
+    # back-substitution and builds no character past the span
+    f = ", ".join(map(str, [1, 1] + [0] * 30 + [1]))
+    path = ring_file("f2_32.ring", f"ring.kind = polyquot\nring.p = 2\nring.f = {f}\n")
+    argv = ["ring-order", "--ring", path, "--json", "--backend", "sampled"]
+    t0 = time.perf_counter()
+    code, out, err = invoke(capsys, argv + ["--seed", "1", "--epsilon", "1e-9"])
+    assert code == 0, err
+    assert json.loads(out)["result"]["order"] == 2**32
+    assert time.perf_counter() - t0 < 10.0
+
+
 def test_witness(ring_file, capsys):
     path = ring_file("z12.ring", Z12)
     code, out, _ = invoke(

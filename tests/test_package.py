@@ -91,8 +91,16 @@ def test_stacked_lattice_built_only_where_no_span_holds_it():
 
 def test_int_matrix_built_only_in_intlinalg():
     # the solvers take columns; IntMatrix is the Smith form's type
-    for name in ("from_rows", "zeros", "IntMatrix"):
+    for name in ("from_rows", "IntMatrix"):
         assert {module for module, _ in _callers(name)} == {"intlinalg.py"}, name
+    # invariant_factors always has the relation columns of a full-rank lattice
+    assert _callers("zeros") == []
+
+
+def test_lattice_kernel_mod_called_only_for_the_torus_subgroup():
+    # the sampled solve reads the dual of its hidden lattice, and of its
+    # rows' lattice, off their triangular Hermite columns by back-substitution
+    assert _callers("lattice_kernel_mod") == [("intlinalg.py", "subgroup_of_torus")]
 
 
 def test_no_coord_subgroup_or_builder_copy():

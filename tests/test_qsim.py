@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ringbox import qsim
 from ringbox import ringops as ops
 from ringbox import verify
 from ringbox.abelian import (
@@ -38,6 +39,7 @@ from ringbox.qsim import (
     SubgroupDescriptor,
     _annihilator,
     _certify,
+    _dual,
     _reconstruct,
     _Span,
 )
@@ -229,6 +231,26 @@ def test_dual_hermite_columns_draw_each_character_once(l, data):
     assert drawn == Counter(y for y in box if full.contains(y))
 
 
+@given(st.integers(1, 5), st.sampled_from(("drawn", "whole", "moduli")), st.data())
+@settings(max_examples=150, deadline=None)
+def test_dual_by_back_substitution_matches_the_kernel(l, kind, data):
+    moduli = data.draw(st.lists(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), min_size=l, max_size=l))
+    hidden = LatticeBuilder(moduli)
+    if kind == "whole":  # L = Z^l: its dual is the moduli lattice
+        for i in range(l):
+            hidden.add([int(i == j) for j in range(l)])
+    elif kind == "drawn":  # kind "moduli" adds nothing: its dual is Z^l
+        for _ in range(data.draw(st.integers(0, 4))):
+            hidden.add([data.draw(st.integers(-20, 20)) for _ in moduli])
+    cols = hidden.basis_columns()
+    dual = _dual(cols, moduli)
+    assert dual == solved_lattice(unreduced_annihilator(cols, moduli), moduli).basis_columns()
+    if kind == "whole":
+        assert dual == LatticeBuilder(moduli).basis_columns()
+    if kind == "moduli":
+        assert dual == tuple(tuple(int(i == j) for i in range(l)) for j in range(l))
+
+
 def test_annihilator_of_a_proper_subgroup():
     # the vectors span only <(2, 0)> in Z_8 x Z_4, whose annihilator is
     # 4Z x Z
@@ -275,6 +297,45 @@ def test_sampled_solve_draws_only_its_characters(epsilon, extra):
     p.solve_ahsp(hiding)
     twin.sample_hidden_subgroup_characters(hiding, len(hiding.moduli) + extra)
     assert p.rng.getstate() == twin.rng.getstate()
+
+
+def test_sampled_solve_builds_no_character_past_the_span(monkeypatch):
+    r = make_ring(ProductSpec((ModularSpec(4), ModularSpec(6))), 2)
+    gens = (parse_element_literal(r, "(2, 3)"), parse_element_literal(r, "(1, 2)"))
+    hiding = hiding_for_kernel(r, gens, (2, 12))
+    batch = len(hiding.moduli) + 38
+    twin = provider("sampled", seed=9, epsilon=1e-9)
+    drawn = twin.sample_hidden_subgroup_characters(hiding, batch)
+    state = twin.rng.getstate()
+    hidden = twin._hidden_subgroup_exact(hiding)
+    full = 12**2 // hidden.determinant()
+    span = next(k for k in range(batch + 1) if _annihilator(drawn[:k], hiding.moduli, full) is None)
+    assert 0 < span < batch
+
+    inserted, returned = [], []
+    annihilator, sampler = qsim._annihilator, PrimitiveProvider.sample_hidden_subgroup_characters
+
+    def counting(vectors, moduli, full=0):
+        def read():
+            for y in vectors:
+                inserted.append(y)
+                yield y
+
+        return annihilator(read(), moduli, full)
+
+    def recording(self, *args):
+        returned.append(sampler(self, *args))
+        return returned[-1]
+
+    monkeypatch.setattr(qsim, "_annihilator", counting)
+    monkeypatch.setattr(PrimitiveProvider, "sample_hidden_subgroup_characters", recording)
+    p = provider("sampled", seed=9, epsilon=1e-9)
+    assert p.solve_ahsp(hiding) == hidden.basis_columns()
+    # one scaled row per character up to the span, and no character built
+    # past it; the rest of the batch is drawn and charged all the same
+    assert inserted == returned[0] == drawn[:span]
+    assert p.stats["characters"] == batch
+    assert p.rng.getstate() == state
 
 
 class RecordingProvider(PrimitiveProvider):
