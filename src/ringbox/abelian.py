@@ -100,8 +100,6 @@ def decompose_group(
     pres = present_group(ring, gens, provider)
     k = len(pres.generators)
     orders, to_orig, from_orig = invariant_factors(pres.relation_lattice, k)
-    if 0 in orders:
-        raise PreconditionError("generators do not span a finite group")
     to_orig = tuple(
         tuple(c % o for c, o in zip(coeffs, pres.orders)) for coeffs in to_orig
     )

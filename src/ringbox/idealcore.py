@@ -321,14 +321,12 @@ def representation_from_additive(
     ring: RingOracle,
     entries,
     provider: PrimitiveProvider,
-    basis: InvariantFactorBasis | None = None,
+    basis: InvariantFactorBasis,
     trace: AccumulationResult | None = None,
 ) -> BasisRepresentation:
     """Basis representation of the multiplicatively closed set additively
-    generated by ``entries`` (pairs of code and provenance)."""
-    entries = tuple(entries)
-    if basis is None:
-        basis = decompose_group(ring, [c for c, _ in entries], provider)
+    generated by ``entries`` (pairs of code and provenance), over their
+    invariant-factor ``basis``."""
     tensor = multiplication_tensor(ring, basis, provider)
     terms = [prov for _, prov in entries]
     provenance = tuple(ScaledSum.over(row, terms) for row in basis.to_original)

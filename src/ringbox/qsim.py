@@ -91,6 +91,7 @@ def fork_seed(seed: int, label: str) -> int:
 
 # swap-test shots per overlap estimate, and the least number per decision
 SWAP_SAMPLES = 48
+_SPOT_CHECKS = 6  # random lattice vectors checked per map not additive by construction
 
 
 @dataclass(frozen=True)
@@ -247,20 +248,15 @@ def _annihilator(vectors, moduli, full: int = 0) -> tuple[tuple[int, ...], ...] 
 
 
 def _reconstruct(characters, moduli, hidden: LatticeBuilder) -> tuple[tuple[int, ...], ...]:
-    """Canonical Hermite columns of the characters' joint kernel, lifted
-    over the moduli.  The characters annihilate the hidden lattice, so
-    their scaled rows span a sublattice of its scaled dual, whose
-    determinant is big^l / det(hidden); once the rows reach it they span
-    the whole dual, whose kernel is ``hidden``.  A batch that never does
-    takes the kernel of its rows."""
+    """Canonical Hermite columns of the characters' joint kernel.  The
+    characters annihilate the hidden lattice, so their scaled rows span a
+    sublattice of its scaled dual, whose determinant is big^l / det(hidden);
+    once the rows reach it they span the whole dual, whose kernel is
+    ``hidden``.  A batch that never does takes the kernel of its rows, which
+    holds every m_j e_j: its Hermite form modulo big is the moduli's."""
     dual_det = lcm(*moduli) ** len(moduli) // hidden.determinant()
     kernel = _annihilator(characters, moduli, dual_det)
-    if kernel is None:
-        return hidden.basis_columns()
-    lattice = LatticeBuilder(moduli)
-    for col in kernel:
-        lattice.add(col)
-    return lattice.basis_columns()
+    return hidden.basis_columns() if kernel is None else kernel
 
 
 def _broken(hiding: HidingFunction, fault: str) -> HidingContractError:
@@ -487,12 +483,12 @@ class PrimitiveProvider:
 
     # ---- hidden subgroup machinery ----
 
-    def _spot_check(self, hiding: HidingFunction, lattice: LatticeBuilder, checks=6):
+    def _spot_check(self, hiding: HidingFunction, lattice: LatticeBuilder):
         """Check random lattice vectors h against a map that is not additive
         by construction: label(z) = label(z + h), through the oracle."""
         k = len(hiding.moduli)
         cols = lattice.basis_columns()
-        for _ in range(checks):
+        for _ in range(_SPOT_CHECKS):
             z = tuple(self.rng.randrange(s) for s in hiding.moduli)
             h = [0] * k
             for col in cols:
@@ -528,7 +524,8 @@ class PrimitiveProvider:
                 tuple(int(i == j) for i in range(t)) + tuple(-v for v in n)
                 for j, n in enumerate(ns)
             ]
-            # decompose_group certified the basis orders, not the elements'
+            # the basis orders are certified (group decomposition, or a
+            # hidden subgroup's torus orders), not the elements'
             unchecked = images
             images = images + span._images
         else:

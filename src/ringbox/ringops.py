@@ -5,7 +5,9 @@ annihilators, orders, identities, linear equations, homomorphism tests, and
 the primality test for two-sided ideals.  Everything consumes the primitive
 layer through swap-test decisions, hidden-subgroup solving, and order
 finding; quotient-ring arithmetic runs on canonical coset labels with
-products taken on representatives through the multiplication oracle.  The
+products taken on representatives through the multiplication oracle.  An op
+that reads a hidden subgroup (intersection, colon, annihilator, kernel) takes
+its invariant-factor basis from that one solve's torus orders.  The
 default primality test is classical: a field test over F_p on the ideal's
 coordinate lattice and the multiplication tensor.
 """
@@ -16,10 +18,10 @@ from dataclasses import dataclass
 from math import ceil, log
 
 from .abelian import (
+    InvariantFactorBasis,
     _basis_descriptor,
     combine_codes,
     decompose_elements,
-    decompose_group,
     ideal_lattice,
 )
 from .blackbox import ElementCode, RingOracle
@@ -71,6 +73,7 @@ __all__ = [
 ]
 
 PRIME_TRIAL_CONSTANT = 6
+_HOM_SPOT_CHECKS = 8  # random product pairs checked per homomorphism
 
 
 @dataclass(frozen=True)
@@ -182,7 +185,10 @@ def _label_map(coords, lattice: LatticeBuilder, maps, additive: bool):
 def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
     """(code, provenance) generators of the subgroup of (rep,+) hidden by
     ``label`` (a (post, target, additive) triple), composed over the
-    represented basis; the zero entry when the subgroup is trivial."""
+    represented basis, and their invariant-factor basis: the generators are
+    independent with the torus orders, so it is the identity change of
+    basis.  The zero entry and the empty basis when the subgroup is
+    trivial."""
     post, target, additive = label
     hiding = HidingFunction(
         ring=ring,
@@ -193,7 +199,7 @@ def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
         name=name,
         additive=additive,
     )
-    gens, _ = subgroup_of_torus(provider.solve_ahsp(hiding), rep.orders)
+    gens, orders = subgroup_of_torus(provider.solve_ahsp(hiding), rep.orders)
     entries = [
         (
             combine_codes(ring.metered, rep.basis.h, vec),
@@ -201,16 +207,11 @@ def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
         )
         for vec in gens
     ]
-    if not entries:
-        entries = [(additive_identity(ring, provider), ScaledSum((), ()))]
-    return entries
-
-
-def _hidden_group(ring, rep: BasisRepresentation, label, name, provider):
-    """Additive generators of the hidden subgroup and their invariant-factor
-    basis."""
-    codes = tuple(c for c, _ in _hidden_entries(ring, rep, label, name, provider))
-    return codes, decompose_group(ring, codes, provider)
+    if not entries:  # the zero entry, over no generator
+        zero = additive_identity(ring, provider)
+        return [(zero, ScaledSum((), ()))], InvariantFactorBasis((), (), (), ((),))
+    eye = tuple(tuple(int(i == j) for j in range(len(gens))) for i in range(len(gens)))
+    return entries, InvariantFactorBasis(tuple(c for c, _ in entries), orders, eye, eye)
 
 
 def ideal_intersection(
@@ -231,8 +232,8 @@ def ideal_intersection(
     lat_j = ideal_lattice(ring, acc_j.codes, ring_rep.basis, provider)
     span = provider.span_coordinates(ring, ring_rep.basis)
     label = _label_map(span, lat_j, [lambda x: x], additive=True)
-    entries = _hidden_entries(ring, rep_i, label, "intersection", provider)
-    return representation_from_additive(ring, entries, provider)
+    entries, basis = _hidden_entries(ring, rep_i, label, "intersection", provider)
+    return representation_from_additive(ring, entries, provider, basis)
 
 
 def colon_ideal(
@@ -256,7 +257,8 @@ def colon_ideal(
     mul = ring.unmetered.mul
     maps = [lambda x, b=b: mul(x, b) for b in acc_j.codes]
     label = _label_map(span, lat_i, maps, additive=True)
-    return _hidden_group(ring, ring_rep, label, "colon", provider)
+    entries, basis = _hidden_entries(ring, ring_rep, label, "colon", provider)
+    return tuple(c for c, _ in entries), basis
 
 
 def annihilator(
@@ -276,7 +278,8 @@ def annihilator(
     else:
         maps = [lambda x, s=s: mul(s, x) for s in s_elems]
     label = _label_map(ring._coords, _moduli_lattice(ring), maps, additive=True)
-    return _hidden_group(ring, ring_rep, label, "annihilator", provider)
+    entries, basis = _hidden_entries(ring, ring_rep, label, "annihilator", provider)
+    return tuple(c for c, _ in entries), basis
 
 
 def ideal_order(ring: RingOracle, i_spec: IdealSpec, provider: PrimitiveProvider) -> int:
@@ -376,7 +379,7 @@ def additive_inverse(
     return combine_codes(ring.metered, (x,), (c - 1,))
 
 
-def _spot_check_hom(rho: HomomorphismOracle, provider: PrimitiveProvider, checks=8):
+def _spot_check_hom(rho: HomomorphismOracle, provider: PrimitiveProvider):
     dom, cod = rho.domain, rho.codomain
     dchan, cchan = dom.unmetered, cod.unmetered
     gens = dom.generators
@@ -386,7 +389,7 @@ def _spot_check_hom(rho: HomomorphismOracle, provider: PrimitiveProvider, checks
         x = rng.choice(pool)
         y = rng.choice(pool)
         pool.append(dchan.add(x, y) if rng.random() < 0.5 else dchan.mul(x, y))
-    for _ in range(checks):
+    for _ in range(_HOM_SPOT_CHECKS):
         a = rng.choice(pool)
         b = rng.choice(pool)
         if rho(dchan.add(a, b)) != cchan.add(rho(a), rho(b)):
@@ -408,7 +411,8 @@ def hom_kernel(
     cod = rho.codomain
     # rho is the caller's map: its spot check walks the oracle
     label = _label_map(cod._coords, _moduli_lattice(cod), [rho.mapping], additive=False)
-    return _hidden_group(ring, domain_rep, label, "hom-kernel", provider)
+    entries, basis = _hidden_entries(ring, domain_rep, label, "hom-kernel", provider)
+    return tuple(c for c, _ in entries), basis
 
 
 def is_injective(

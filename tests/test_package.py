@@ -76,6 +76,15 @@ def test_subgroup_of_torus_called_only_for_hidden_entries():
     assert _callers("subgroup_of_torus") == [("ringops.py", "_hidden_entries")]
 
 
+def test_decompose_group_called_only_by_the_accumulation():
+    # a hidden subgroup's generators come with their torus orders, which
+    # are their invariant factors: only an accumulated generator list is
+    # decomposed through the oracle
+    assert set(_callers("decompose_group")) == {
+        ("idealcore.py", "accumulate_additive_generators")
+    }
+
+
 def test_stacked_lattice_built_only_where_no_span_holds_it():
     # a span's stacked form extends its parent's (one call, over the
     # parent's form or the moduli), and relation lattices read it off the

@@ -613,6 +613,56 @@ def test_span_reuse_keeps_answers_counts_and_streams():
             assert p.stats == ref.stats
 
 
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_specs(), st.integers(0, 1 << 20), st.sampled_from(("exact", "sampled")))
+def test_hidden_subgroup_ops_keep_their_torus_basis(spec, seed, backend):
+    """Each op that reads a hidden subgroup returns the invariant-factor
+    basis of its generators without decomposing them again: no
+    relation-lattice solve follows its own solve."""
+    ring = make_ring(spec, seed)
+    rec = RecordingProvider(ProviderConfig(backend=backend, seed=seed, epsilon=1e-9))
+    rep = ops.ring_representation(ring, rec)
+    span = SubgroupDescriptor(ring, rep.basis.h, basis=rep.basis)
+    a, b = (rec.sample_uniform(span)[0] for _ in range(2))
+    ia, ib = IdealSpec("left", (a,)), IdealSpec("left", (b,))
+    ident = ops.HomomorphismOracle(ring, ring, lambda code: code, name="identity")
+
+    def intersection():
+        basis = ops.ideal_intersection(ring, ia, ib, rec, rep).basis
+        return basis.h or (ring._zero_code(),), basis
+
+    runs = {
+        "intersection": intersection,
+        "colon": lambda: ops.colon_ideal(ring, ia, ib, rec, rep),
+        "annihilator": lambda: ops.annihilator(ring, (a,), "left", rec, rep),
+        "hom-kernel": lambda: ops.hom_kernel(ident, rec, rep),
+    }
+    for name, run in runs.items():
+        start = len(rec.hidings)
+        codes, basis = run()
+        names = [h.name for h in rec.hidings[start:]]
+        assert "relation-lattice" not in names[names.index(name):], name
+        fresh = decompose_group(ring, codes, provider(backend, seed=seed + 1, epsilon=1e-9))
+        assert (basis.h, basis.s) == (fresh.h, fresh.s), name
+
+
+def test_annihilator_makes_one_solve_after_the_ring_representation():
+    r = ring_z12()
+    for backend in ("exact", "sampled"):
+        rec = RecordingProvider(ProviderConfig(backend=backend, seed=5))
+        rep = ops.ring_representation(r, rec)
+        start = len(rec.hidings)
+        codes, basis = ops.annihilator(r, (parse_element_literal(r, "4"),), "left", rec, rep)
+        assert [h.name for h in rec.hidings[start:]] == ["annihilator"]
+        assert basis.s == (4,)  # Ann(4) = <3> in Z_12
+
+
 def test_hom_kernel_map_keeps_the_oracle_path():
     ring = make_ring(ModularSpec(12), 7)
     rec = RecordingProvider(ProviderConfig(seed=5))
