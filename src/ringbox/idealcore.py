@@ -11,6 +11,16 @@ in B raises LowConfidenceError rather than being skipped.  Each adjoined
 element at least doubles the generated group, so the number of
 augmentations is at most log2 of the ideal order.
 
+B's generators G are the first basis, then the adjoined elements.  Each
+scan entry keeps products whose span together with B holds r times the
+prefix of G it has covered, and on a visit multiplies only the elements of
+G past that prefix, or the current basis when that is shorter.  r*B is
+spanned by r*G and every product lies in r*B, so the joined group is
+B + r*B and every decision is the one of the full test.  Each entry thus
+makes at most one product per element of G: at most len(plan) * (l0 +
+rounds) products, l0 the first basis' length, plus one per draw, and no
+visit makes more products than the basis is long.
+
 A provider accumulates each ideal once: the result is kept in its session
 memo ``accumulations``, keyed by ring, ideal spec and ring generators, and
 shared by every later caller (hence immutable).
@@ -170,6 +180,12 @@ class AccumulationResult:
     def codes(self) -> tuple[ElementCode, ...]:
         return tuple(c for c, _ in self.entries)
 
+    @property
+    def provenance(self) -> tuple[Provenance, ...]:
+        """Each basis generator's provenance over the original ideal
+        generators."""
+        return _basis_provenance(self.entries, self.basis)
+
 
 @dataclass(frozen=True)
 class BasisRepresentation:
@@ -214,7 +230,20 @@ def accumulate_additive_generators(
     r*B lies in B.  After a rejection each uniform draw r*x escapes B with
     probability at least 1/2, so the draws are capped at
     ceil(log2(1/epsilon)) + 4; exhausting the cap raises LowConfidenceError.
+
+    B is generated by the list G of the first basis h, then each adjoined
+    element.  Each entry keeps a product list P and a prefix length c with
+    r*G[:c] inside B + span(P) and P inside r*B.  A visit multiplies r by
+    G[c:] and appends the products to P, or, when the current basis is
+    shorter than G[c:], sets P to r times the basis; either way c becomes
+    len(G), so B + span(P) = B + r*B, and the test joins B with P.  Every
+    overlap, decision and draw is therefore the one of a test joining B
+    with r times the whole basis.  An accept empties P: r*B then lies in
+    B.  An augmentation keeps both invariants, since B only grows.
     Termination: a complete scan in which every containment test accepts.
+    Then r*B lies in B for every (side, r) of the plan, so B, which holds
+    the ideal generators and lies in the ideal, is closed under the plan's
+    one-sided products: it is the ideal.
 
     The result is memoized in ``provider.accumulations`` under (ring key,
     ideal, ring generators): a repeat call returns the stored result and
@@ -233,16 +262,27 @@ def accumulate_additive_generators(
     rounds = 0
     cap = ceil(log2(1.0 / provider.config.epsilon)) + 4
     decisions_before = provider.stats["decisions"]
+    gens = list(basis.h)  # G: the first basis, then each adjoined element
+    # per entry: B + span(pending) holds r*G[:covered], and pending lies in r*B
+    covered = [0] * len(plan)
+    pending = [[] for _ in plan]
     while True:
-        for side, gi in plan:
+        for e, (side, gi) in enumerate(plan):
             r = ring_gens[gi]
-            scaled = tuple(_mul_side(ring, side, r, h) for h in basis.h)
+            todo = gens[covered[e]:]
+            if len(todo) <= len(basis.h):
+                pending[e] += [_mul_side(ring, side, r, g) for g in todo]
+            else:  # the current basis is shorter, and r*B is its products' span
+                pending[e] = [_mul_side(ring, side, r, h) for h in basis.h]
+            covered[e] = len(gens)
             b_desc = _basis_descriptor(ring, basis)
-            # generators already in basis.h are dropped: when r fixes every
-            # h_i (r = 1, say) the joined span is B's own, already built
-            fresh = tuple(c for c in scaled if c not in basis.h)
+            # so B + span(pending) is B + r*B; members of basis.h or G add
+            # nothing, and an r fixing every element (r = 1, say) joins B's
+            # own generators, whose span is memoized
+            fresh = tuple(c for c in pending[e] if c not in basis.h and c not in gens)
             joined = SubgroupDescriptor(ring, basis.h + fresh)
             if provider.is_subset_decision(joined, b_desc):
+                pending[e] = []  # r*B lies in B
                 continue
             for _ in range(cap):
                 x, coeffs = provider.sample_uniform(b_desc)
@@ -251,6 +291,7 @@ def accumulate_additive_generators(
                     continue
                 prov = _compose_provenance(side, gi, coeffs, basis, entries)
                 entries.append((cand, prov))
+                gens.append(cand)
                 basis = decompose_group(ring, [c for c, _ in entries], provider)
                 sizes.append(basis.order())
                 rounds += 1
@@ -328,9 +369,13 @@ def representation_from_additive(
     generated by ``entries`` (pairs of code and provenance), over their
     invariant-factor ``basis``."""
     tensor = multiplication_tensor(ring, basis, provider)
+    return BasisRepresentation(basis, tensor, _basis_provenance(entries, basis), trace)
+
+
+def _basis_provenance(entries, basis: InvariantFactorBasis) -> tuple[Provenance, ...]:
+    """Provenance of each h_i, read off to_original over the entries'."""
     terms = [prov for _, prov in entries]
-    provenance = tuple(ScaledSum.over(row, terms) for row in basis.to_original)
-    return BasisRepresentation(basis, tensor, provenance, trace)
+    return tuple(ScaledSum.over(row, terms) for row in basis.to_original)
 
 
 def find_basis_representation(

@@ -182,24 +182,24 @@ def _label_map(coords, lattice: LatticeBuilder, maps, additive: bool):
     return post, target, additive
 
 
-def _hidden_entries(ring, rep: BasisRepresentation, label, name, provider):
+def _hidden_entries(ring, rep, label, name, provider):
     """(code, provenance) generators of the subgroup of (rep,+) hidden by
-    ``label`` (a (post, target, additive) triple), composed over the
-    represented basis, and their invariant-factor basis: the generators are
-    independent with the torus orders, so it is the identity change of
-    basis.  The zero entry and the empty basis when the subgroup is
-    trivial."""
+    ``label`` (a (post, target, additive) triple), composed over ``rep``'s
+    basis and provenance (a representation or an accumulation), and their
+    invariant-factor basis: the generators are independent with the torus
+    orders, so it is the identity change of basis.  The zero entry and the
+    empty basis when the subgroup is trivial."""
     post, target, additive = label
     hiding = HidingFunction(
         ring=ring,
-        moduli=rep.orders,
+        moduli=rep.basis.s,
         combo_generators=rep.basis.h,
         post=post,
         target=target,
         name=name,
         additive=additive,
     )
-    gens, orders = subgroup_of_torus(provider.solve_ahsp(hiding), rep.orders)
+    gens, orders = subgroup_of_torus(provider.solve_ahsp(hiding), rep.basis.s)
     entries = [
         (
             combine_codes(ring.metered, rep.basis.h, vec),
@@ -227,12 +227,12 @@ def ideal_intersection(
     that lands inside J.
     """
     ring_rep = ring_rep or ring_representation(ring, provider)
-    rep_i = find_basis_representation(ring, i_spec, provider)
+    acc_i = accumulate_additive_generators(ring, i_spec, provider)
     acc_j = accumulate_additive_generators(ring, j_spec, provider)
     lat_j = ideal_lattice(ring, acc_j.codes, ring_rep.basis, provider)
     span = provider.span_coordinates(ring, ring_rep.basis)
     label = _label_map(span, lat_j, [lambda x: x], additive=True)
-    entries, basis = _hidden_entries(ring, rep_i, label, "intersection", provider)
+    entries, basis = _hidden_entries(ring, acc_i, label, "intersection", provider)
     return representation_from_additive(ring, entries, provider, basis)
 
 

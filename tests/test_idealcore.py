@@ -2,6 +2,7 @@ import random
 from math import log2
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ringbox import ringops as ops
 from ringbox import verify
@@ -23,7 +24,9 @@ from ringbox.idealcore import (
 from ringbox.abelian import decompose_group
 from ringbox.qsim import PrimitiveProvider, ProviderConfig
 
+from rescan_reference import rescan_accumulate
 from test_acceptance import DESK_SUITE
+from test_ground_truth import small_specs
 
 
 def provider(backend="exact", seed=1, **kw):
@@ -414,3 +417,69 @@ def test_warm_provider_answers_like_a_cold_one(backend):
             cold = _answers(r, i_spec, j_spec, x, provider(backend, seed=5), zero)
             _answers(r, i_spec, j_spec, x, warm, zero)
             assert _answers(r, i_spec, j_spec, x, warm, zero) == cold == want
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_accumulation_multiplies_each_generator_once_per_scan_entry(backend):
+    # every scan entry multiplies each of G = (first basis, adjoined
+    # elements) at most once, and each draw makes one more product; over
+    # F_2 every adjoined element extends the basis, so no entry takes the
+    # current basis instead and the count is exact
+    trunc = make_ring(PolyQuotSpec(2, (0,) * 10 + (1,)), 5)
+    m = make_ring(MatrixSpec(2, ModularSpec(4)), 5)
+    cases = [(trunc, IdealSpec("left", trunc.generators))] + [
+        (m, IdealSpec("two", (parse_element_literal(m, lit),)))
+        for lit in ("1,0;0,0", "2,0;0,0", "0,2;0,0", "1,2;0,3")
+    ]
+    grew = 0
+    for r, spec in cases:
+        p = provider(backend, seed=3)
+        muls, draws = r.ledger.mul_count, p.stats["samples"]
+        res = accumulate_additive_generators(r, spec, p)
+        muls, draws = r.ledger.mul_count - muls, p.stats["samples"] - draws
+        plan = len(r.generators) * (2 if spec.side == "two" else 1)
+        first = decompose_group(r, spec.generators, p)  # memoized: no query
+        once = plan * (len(first.h) + res.rounds) + draws
+        assert muls == once if r is trunc else muls <= once
+        grew += res.rounds > 1
+    assert grew  # a rescan of the whole basis would make more products
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    small_specs(),
+    st.integers(0, 1 << 20),
+    st.sampled_from(("left", "right", "two")),
+    st.sampled_from(BACKENDS),
+)
+def test_accumulation_decides_like_a_full_rescan(spec, seed, side, backend):
+    # twin rings and providers: the reference loop rescans the whole basis
+    # after every augmentation; the library's must match its result,
+    # decisions and random stream with no more products, and multiply each
+    # element of G at most once per scan entry
+    rng = random.Random(seed)
+    twins = [make_ring(spec, seed) for _ in range(2)]
+    elems = sorted(verify.ring_elements(twins[0]), key=lambda c: c.bits)
+    ideal = IdealSpec(side, tuple(rng.choice(elems) for _ in range(rng.randint(1, 2))))
+    twin_providers = [provider(backend, seed=seed) for _ in range(2)]
+    res, ref = (
+        accumulate(r, ideal, p)
+        for r, p, accumulate in zip(
+            twins, twin_providers, (accumulate_additive_generators, rescan_accumulate)
+        )
+    )
+    (r, r_ref), (p, p_ref) = twins, twin_providers
+    assert res == ref
+    assert p.stats == p_ref.stats
+    assert p.rng.getstate() == p_ref.rng.getstate()
+    (adds, muls), (ref_adds, ref_muls) = r.ledger.snapshot(), r_ref.ledger.snapshot()
+    assert adds == ref_adds and muls <= ref_muls
+    plan = len(r.generators) * (2 if side == "two" else 1)
+    first = decompose_group(r, ideal.generators, p)  # memoized: no query
+    assert muls <= plan * (len(first.h) + res.rounds) + p.stats["samples"]
