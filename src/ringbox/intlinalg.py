@@ -18,7 +18,9 @@ of columns, one entry per modulus.
 ``IntMatrix`` is the Smith form's type; the Smith form serves only
 ``invariant_factors``: the group decomposition, the field test and
 ``subgroup_of_torus`` (a hidden subgroup's generators for ``ringops``;
-sampled characters are drawn over Hermite columns).
+sampled characters are drawn over Hermite columns).  A relation lattice
+that is already a diagonal divisor chain is its own Smith form, and
+``invariant_factors`` reads it without one.
 
 ``is_prime`` (deterministic Miller-Rabin) serves the ring validation and the
 field test behind ``prime``; ``factorize`` and ``euler_phi`` (trial division)
@@ -459,6 +461,17 @@ def lattice_kernel_mod(columns, moduli) -> tuple[tuple[int, ...], ...]:
     return kernel_columns(stacked_lattice(list(columns), LatticeBuilder(moduli)), len(moduli))
 
 
+def _is_divisor_chain(columns) -> bool:
+    """Whether the j-th of the k columns is d_j e_j, 0 < d_1 | d_2 | ..."""
+    k, prev = len(columns), 1
+    for j, col in enumerate(columns):
+        d = col[j]
+        if d <= 0 or d % prev or col.count(0) != k - 1:
+            return False
+        prev = d
+    return True
+
+
 def invariant_factors(relations, k: int):
     """Invariant-factor form of the finite group Z^k / L, for a full-rank
     lattice L spanned by the columns ``relations`` (the callers pass L's k
@@ -470,7 +483,19 @@ def invariant_factors(relations, k: int):
     over the new generators, entry t reduced modulo o_t.  One Smith form
     U*A*V = D of the relation matrix A gives all three: the new
     generators are columns of U^-1, e_j's coordinates are column j of U.
+
+    When the k columns are already diagonal with positive pivots
+    d_1 | d_2 | ... (most relation lattices the package meets), the Smith
+    form makes no operation on them, U = V = I: the answer is read off
+    directly, the unit vectors of the kept indices both ways.
     """
+    if len(relations) == k and _is_divisor_chain(relations):
+        kept = [j for j, col in enumerate(relations) if col[j] != 1]
+        return (
+            tuple(relations[j][j] for j in kept),
+            tuple(tuple(int(i == j) for i in range(k)) for j in kept),
+            tuple(tuple(int(i == j) for i in kept) for j in range(k)),
+        )
     rel = IntMatrix.from_rows([[col[i] for col in relations] for i in range(k)])
     snf = smith_normal_form(rel)
     d = snf.diagonal()  # k nonzero entries: L has full rank

@@ -36,13 +36,18 @@ back-substitution).  A solve builds characters, reducing them to at most l
 Hermite rows (l the hiding map's dimension), only until the rows'
 determinant reaches big^l / det(L) (big the lcm of the moduli): the rows
 then span the whole scaled dual, whose kernel is L, so L is the answer.
-The rest of its batch makes the same random draws and is charged, but
-nothing is built from it.  A batch that never reaches it gives the kernel
-of its rows (the dual of the row lattice, by the same back-substitution)
-lifted over the moduli.  Period-finding outcomes are concentrated near
-multiples of q/c and followed by continued-fraction reconstruction; each
-additive order is found once per provider.  Consumers are written against the
-sample interface and never receive the hidden structure directly.
+The rest of its batch is charged and builds nothing; the random stream is
+advanced past it by the getrandbits draws its randrange calls would make,
+and past an overlap-1 decision's shots, which all read 0, by their 64 bits
+each in one draw.  Both advance it exactly as the draws they stand for;
+they rest on how CPython's Random spends its Mersenne Twister words, which
+the stream pin tests guard.  A batch that never reaches the span gives the
+kernel of its rows (the dual of the row lattice, by the same
+back-substitution) lifted over the moduli.  Period-finding outcomes are
+concentrated near multiples of q/c and followed by continued-fraction
+reconstruction; each additive order is found once per provider.
+Consumers are written against the sample interface and never receive the
+hidden structure directly.
 
 All ground-truth queries run on the ring's unmetered channel: a stand-in
 quantum device's internal oracle calls are not classical algorithm queries.
@@ -87,6 +92,22 @@ CharacterSample = tuple[int, ...]
 def fork_seed(seed: int, label: str) -> int:
     digest = hashlib.blake2b(f"{seed}|{label}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def _skip_randranges(rng: Random, radices, rounds: int) -> None:
+    """Advance ``rng`` exactly as ``rounds`` passes of ``rng.randrange(r)``
+    over the radices would, without forming the values.
+
+    For r > 0, CPython's randrange(r) is ``_randbelow_with_getrandbits``:
+    it draws getrandbits(r.bit_length()) until the value falls below r.
+    The same draws are made here directly, without randrange's argument
+    handling and its two Python frames per call.  The stream pin tests
+    guard this reading of CPython's draws."""
+    getrandbits = rng.getrandbits
+    for r in radices * rounds:
+        k = r.bit_length()
+        while getrandbits(k) >= r:
+            pass
 
 
 # swap-test shots per overlap estimate, and the least number per decision
@@ -464,12 +485,18 @@ class PrimitiveProvider:
 
         Under the sampled backend a single ancilla-1 shot certifies overlap
         < 1; accepting after t all-zero shots errs with probability <=
-        (5/8)^t when the true overlap is at most 1/2.
+        (5/8)^t when the true overlap is at most 1/2.  At overlap exactly 1
+        every shot reads 0, so the stream is advanced by the shots' 64 bits
+        each (two 32-bit words per ``random()`` call) in one draw, exactly
+        as the shots would advance it.
         """
         self.stats["decisions"] += 1
         c = self._exact_overlap(a, b)
         if not self.sampled:
             return c == 1
+        if c == 1:
+            self.rng.getrandbits(64 * self._decision_shots())
+            return True
         p0 = float((1 + c * c) / 2)
         for _ in range(self._decision_shots()):
             if self.rng.random() >= p0:
@@ -510,7 +537,9 @@ class PrimitiveProvider:
         A map additive by construction is certified, drawing nothing: each
         vector added to the moduli maps into the target, and s_j post(g_j)
         lies in the target for each generator whose order is not certified
-        yet.  Any other map is spot-checked through the oracle."""
+        yet (entrywise modulo the ring's moduli for the default ``post``,
+        whose target is their lattice).  Any other map is spot-checked
+        through the oracle."""
         ring, gens, target = hiding.ring, hiding.combo_generators, hiding.target
         t = hiding.over_basis
         lattice = LatticeBuilder(hiding.moduli)
@@ -541,13 +570,21 @@ class PrimitiveProvider:
             lattice.add(vec)
         if not hiding.additive:
             self._spot_check(hiding, lattice)
-        elif not all(
-            target.contains([s * v for v in image])
-            for s, image in zip(hiding.moduli, unchecked)
-        ):
-            raise _broken(hiding, "does not vanish on its moduli")
+            return lattice
+        if t or hiding._relations:  # the default post: the target is the moduli lattice
+            vanishes = all(
+                s * v % m == 0
+                for s, image in zip(hiding.moduli, unchecked)
+                for v, m in zip(image, ring.spec._moduli)
+            )
         else:
-            _certify(hiding, images, added)
+            vanishes = all(
+                target.contains([s * v for v in image])
+                for s, image in zip(hiding.moduli, unchecked)
+            )
+        if not vanishes:
+            raise _broken(hiding, "does not vanish on its moduli")
+        _certify(hiding, images, added)
         return lattice
 
     def sample_hidden_subgroup_characters(
@@ -562,10 +599,12 @@ class PrimitiveProvider:
         ``hidden`` is the hidden subgroup's lattice L when the solve already
         holds it.  Then a character is built only while the scaled rows of
         those built so far fall short of the dual (``_annihilator`` with
-        full = big^l / det(L)); the rest of the batch makes the same draws,
-        builds nothing, and only the characters built are returned.  A
-        character drawn after the rows span the dual cannot change their
-        joint kernel."""
+        full = big^l / det(L)); the rest of the batch builds nothing, and
+        only the characters built are returned.  A character drawn after the
+        rows span the dual cannot change their joint kernel.  The stream is
+        advanced past the rest exactly as its ``randrange`` draws would
+        advance it (``_skip_randranges``, which rests on CPython's randrange
+        and is pinned by the stream tests), so later draws are unchanged."""
         moduli = hiding.moduli
         solving = hidden is not None
         if not solving:
@@ -595,9 +634,8 @@ class PrimitiveProvider:
                 yield out[-1]
 
         _annihilator(built(), moduli, lcm(*moduli) ** len(moduli) // hidden.determinant())
-        for _ in range(batch - len(out)):  # the rest of the batch: drawn, not built
-            for _, radix in radices:
-                randrange(radix)
+        # the rest of the batch: drawn, not built
+        _skip_randranges(self.rng, [radix for _, radix in radices], batch - len(out))
         return out
 
     def solve_ahsp(self, hiding: HidingFunction) -> tuple[tuple[int, ...], ...]:

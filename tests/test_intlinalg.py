@@ -5,6 +5,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ringbox import intlinalg
 from ringbox.errors import DimensionError, PreconditionError
 from ringbox.intlinalg import (
     MILLER_RABIN_BOUND,
@@ -576,6 +577,66 @@ def test_invariant_factors_of_seeded_lattice(k, extra, data):
         for c, g in zip(from_original[j], to_original):
             rest = [r - c * v for r, v in zip(rest, g)]
         assert lat.contains(rest)
+
+
+def smith_route(relations, k):
+    """invariant_factors through the Smith form of the relation matrix,
+    whatever the input: the route a diagonal divisor chain skips."""
+    snf = smith_normal_form(IntMatrix.from_rows([[col[i] for col in relations] for i in range(k)]))
+    d = snf.diagonal()
+    kept = [i for i in range(k) if d[i] != 1]
+    orders = tuple(d[i] for i in kept)
+    return (
+        orders,
+        tuple(snf.u_inv.col(i) for i in kept),
+        tuple(tuple(snf.U.at(i, j) % o for i, o in zip(kept, orders)) for j in range(k)),
+    )
+
+
+def diagonal(pivots):
+    k = len(pivots)
+    return [tuple(d if i == j else 0 for i in range(k)) for j, d in enumerate(pivots)]
+
+
+@given(st.integers(1, 4), st.sampled_from(["chain", "pivots", "seeded"]), st.integers(0, 3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_invariant_factors_matches_the_smith_route(k, kind, extra, data):
+    # a chain d_1 | d_2 | ... (unit pivots included), any diagonal (non-chains
+    # such as (3, 2) included), or the canonical columns of a seeded lattice;
+    # each also with extra relation columns past the k
+    if kind == "chain":
+        steps = data.draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+        pivots = [prod(steps[: j + 1]) for j in range(k)]
+    else:
+        pivots = data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+    relations = diagonal(pivots)
+    vectors = data.draw(
+        st.lists(st.lists(st.integers(-20, 20), min_size=k, max_size=k), max_size=3)
+    )
+    if kind == "seeded":
+        relations = list(rebuilt(pivots, vectors).basis_columns())
+    relations += [tuple(v) for v in vectors[:extra]]
+    assert invariant_factors(relations, k) == smith_route(relations, k)
+
+
+@pytest.mark.parametrize(
+    "pivots,smith_forms",
+    [((2, 4, 12), 0), ((1, 1, 6), 0), ((5,), 0), ((3, 2), 1), ((4, 6), 1), ((2, 4, 6), 1)],
+)
+def test_a_divisor_chain_makes_no_smith_form(monkeypatch, pivots, smith_forms):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    relations = diagonal(pivots)
+    assert invariant_factors(relations, len(pivots)) == smith_route(relations, len(pivots))
+    assert len(calls) == smith_forms
+    # an extra relation column always takes the Smith form
+    invariant_factors(relations + [relations[-1]], len(pivots))
+    assert len(calls) == smith_forms + 1
 
 
 def test_egcd_and_phi():

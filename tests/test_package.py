@@ -117,3 +117,13 @@ def test_no_coord_subgroup_or_builder_copy():
     # is copied by padding it with no extra coordinates
     assert _defined("CoordSubgroup") == []
     assert _defined("copy") == []
+
+
+def test_getrandbits_called_only_to_advance_the_stream():
+    # draws are randrange and random() calls; the stream is advanced by raw
+    # getrandbits draws only past discarded characters and past an
+    # overlap-1 decision's shots, both pinned to the calls they stand for
+    assert sorted(_callers("getrandbits")) == [
+        ("qsim.py", "_skip_randranges"),
+        ("qsim.py", "is_subset_decision"),
+    ]

@@ -41,6 +41,7 @@ from ringbox.qsim import (
     _certify,
     _dual,
     _reconstruct,
+    _skip_randranges,
     _Span,
 )
 from test_acceptance import DESK_SUITE
@@ -336,6 +337,51 @@ def test_sampled_solve_builds_no_character_past_the_span(monkeypatch):
     assert inserted == returned[0] == drawn[:span]
     assert p.stats["characters"] == batch
     assert p.rng.getstate() == state
+
+
+RADICES = st.one_of(
+    st.integers(0, 32).map(lambda e: 1 << e),
+    st.sampled_from([3, 5, 6, 12, 2**31, 2**32 - 1, 2**40, 2**61 - 1]),
+    st.integers(1, 2**32 - 1),
+)
+
+
+@given(st.lists(RADICES, max_size=4), st.integers(0, 50), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_skipped_randranges_leave_the_state_of_the_calls(radices, rounds, seed):
+    # CPython draws randrange(r) as getrandbits(r.bit_length()) until below
+    # r, over one 32-bit word per draw below 2^32 and several above it
+    rng, twin = Random(seed), Random(seed)
+    _skip_randranges(rng, radices, rounds)
+    for _ in range(rounds):
+        for r in radices:
+            twin.randrange(r)
+    assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("epsilon", [1e-6, 1e-9])
+def test_sampled_decisions_leave_the_state_of_the_shot_loop(epsilon):
+    # overlap 1 (accepted: every shot drawn), 1/2 and 0 (rejected at the
+    # first shot reading 1); the twin draws one random() per shot
+    r = ring_z12()
+    four, two, one = codes(r, 4, 2, 1)
+    fours, evens = SubgroupDescriptor(r, (four,)), SubgroupDescriptor(r, (two,))
+    p = provider("sampled", seed=9, epsilon=epsilon)
+    twin = Random()
+    for a, b, overlap, accepted in (
+        (fours, SubgroupDescriptor(r, (four, four)), 1, True),
+        (fours, evens, Fraction(1, 2), False),
+        (SubgroupDescriptor(r, (four,), offset=one), fours, 0, False),
+        (evens, evens, 1, True),
+    ):
+        assert p._exact_overlap(a, b) == overlap
+        twin.setstate(p.rng.getstate())
+        assert p.is_subset_decision(a, b) == accepted
+        p0 = float((1 + overlap * overlap) / 2)
+        for _ in range(p._decision_shots()):
+            if twin.random() >= p0:
+                break
+        assert p.rng.getstate() == twin.getstate()
 
 
 class RecordingProvider(PrimitiveProvider):
