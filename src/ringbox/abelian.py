@@ -103,7 +103,7 @@ def decompose_group(
     to_orig = tuple(
         tuple(c % o for c, o in zip(coeffs, pres.orders)) for coeffs in to_orig
     )
-    h = tuple(combine_codes(ring.metered, pres.generators, c) for c in to_orig)
+    h = tuple(provider.combine(ring, pres.generators, c) for c in to_orig)
     done = provider.groups[key] = InvariantFactorBasis(h, orders, to_orig, from_orig)
     return done
 
@@ -137,9 +137,11 @@ def decompose_elements(
     e = max s_i, covers the t pending elements: e kills every member, and
     the kernel of (z, y) -> sum_j z_j x_j + sum_i y_i h_i has one canonical
     Hermite column (e_j; w_j) per element, x_j = -sum_i w_ji h_i (Cheung &
-    Mosca, quant-ph/0101004).  Each answer is verified by a combination
-    through the metered oracle; the sampled backend solves the unverified
-    ones again.  Answers are memoized per basis.
+    Mosca, quant-ph/0101004).  Each answer is verified by its combination
+    through the metered oracle, over the session's doubling tables of the
+    basis (``provider.combine``: one add per set bit once the tables are
+    warm); the sampled backend solves the unverified ones again.  Answers
+    are memoized per basis.
     """
     xs = tuple(xs)  # read twice: the pending elements, then the answers
     memo = provider.decomp_memo.setdefault((ring._key, basis.h, basis.s), {})
@@ -154,7 +156,6 @@ def decompose_elements(
         memo.update(dict.fromkeys(pending, ()))
         pending = []
     retries = 1 if not provider.sampled else ceil(log2(1.0 / provider.config.epsilon)) + 2
-    chan = ring.metered
     for _ in range(retries):
         if not pending:
             break
@@ -175,9 +176,9 @@ def decompose_elements(
                 continue  # no kernel vector (e_j; w): x stays pending
             vec = tuple((-w) % sj for w, sj in zip(columns[j][t:], basis.s))
             if any(vec):
-                ok = combine_codes(chan, basis.h, vec) == x
+                ok = provider.combine(ring, basis.h, vec) == x
             else:
-                ok = chan.add(x, basis.h[0]) == basis.h[0]  # x must be the zero element
+                ok = ring.metered.add(x, basis.h[0]) == basis.h[0]  # x must be the zero element
             if ok:
                 memo[x] = vec
         pending = [x for x in pending if x not in memo]

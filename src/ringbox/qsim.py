@@ -51,6 +51,12 @@ hidden structure directly.
 
 All ground-truth queries run on the ring's unmetered channel: a stand-in
 quantum device's internal oracle calls are not classical algorithm queries.
+Metered sums of codes with a session go through ``PrimitiveProvider.combine``,
+which keeps each code's doubling table [h, 2h, 4h, ...] per ring and extends
+it only through the metered channel: each code is doubled once per session,
+and a sum then costs one add per set bit of its coefficients, less one.
+``combine_codes`` is the one routine that sums codes; without a table it
+doubles each term afresh.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, lcm, log, prod, sqrt
+from operator import mod
 from random import Random
 
 from .blackbox import DESK_CAP, ElementCode, RingOracle
@@ -284,16 +291,27 @@ def _broken(hiding: HidingFunction, fault: str) -> HidingContractError:
     return HidingContractError(f"hiding {hiding.name or '<anonymous>'} {fault}")
 
 
+def _in_target(hiding: HidingFunction):
+    """Membership test of the hiding map's target: entrywise modulo the
+    ring's moduli for the default ``post`` (a map over a basis or a relation
+    lattice), whose target is their lattice; the target's own otherwise."""
+    if not (hiding.over_basis or hiding._relations):
+        return hiding.target.contains
+    moduli = hiding.ring.spec._moduli
+    return lambda label: not any(map(mod, label, moduli))
+
+
 def _certify(hiding: HidingFunction, images, vectors):
     """Raise HidingContractError unless every vector v lies in the kernel:
     sum_j (v_j mod s_j) images[j], images[j] = post(g_j), is in the target."""
+    inside = _in_target(hiding)
     for vec in vectors:
         label = [0] * hiding.target.dim
         for v, s, image in zip(vec, hiding.moduli, images):
             n = v % s
             if n:
                 label = [a + n * b for a, b in zip(label, image)]
-        if not hiding.target.contains(label):
+        if not inside(label):
             raise _broken(hiding, "is not constant on cosets")
 
 
@@ -351,8 +369,8 @@ class _Span:
 
 
 def _double_and_add(op, code: ElementCode, k: int) -> ElementCode:
-    """code combined with itself k >= 1 times under the channel operation
-    ``op`` (k*code for add, code^k for mul), by doubling."""
+    """code^k for k >= 1 under the channel's ``mul``, by square-and-multiply
+    (sums of codes are ``combine_codes``)."""
     if k < 1:
         raise ValueError("double-and-add needs k >= 1")
     acc = None
@@ -366,17 +384,39 @@ def _double_and_add(op, code: ElementCode, k: int) -> ElementCode:
     return acc
 
 
-def combine_codes(chan, codes, coeffs, zero: ElementCode | None = None) -> ElementCode:
-    """sum_j coeffs[j] * codes[j] through the oracle channel.
+def combine_codes(
+    chan, codes, coeffs, zero: ElementCode | None = None, powers: dict | None = None
+) -> ElementCode:
+    """sum_j coeffs[j] * codes[j] through the oracle channel, as one add per
+    set bit b of each coefficient of the table entry 2^b * codes[j].
 
-    The empty combination needs an explicit zero code.
+    ``powers`` maps a code h to its doubling table [h, 2h, 4h, ...], which
+    is extended through ``chan`` only as far as a coefficient needs (fixed-
+    base doubling; Straus, Amer. Math. Monthly 1964; Yao, SIAM J. Comput.
+    1976).  Without it every term starts a table of its own, so a sum makes
+    sum_j (bit_length(c_j) - 1) doublings and sum_j popcount(c_j) - 1 adds;
+    over a warm table only the adds remain.  A coefficient of 0 or 1 needs
+    no table.  A session's tables are ``PrimitiveProvider.combine``'s, on
+    the metered channel alone.  The empty combination needs an explicit
+    zero code.
     """
     acc = None
     for c, code in zip(coeffs, codes):
-        if c == 0:
+        if c <= 1:  # no table: the term is zero or the code itself
+            if c < 0:
+                raise ValueError("combine_codes needs coefficients >= 0")
+            if c:
+                acc = code if acc is None else chan.add(acc, code)
             continue
-        term = _double_and_add(chan.add, code, c)
-        acc = term if acc is None else chan.add(acc, term)
+        table = [code] if powers is None else powers.setdefault(code, [code])
+        b = 0
+        while c:
+            if c & 1:
+                while len(table) <= b:
+                    table.append(chan.add(table[-1], table[-1]))
+                acc = table[b] if acc is None else chan.add(acc, table[b])
+            c >>= 1
+            b += 1
     if acc is None:
         if zero is None:
             raise PreconditionError("empty combination without a zero code")
@@ -392,14 +432,17 @@ class PrimitiveProvider:
         self.rng = Random(fork_seed(config.seed, "provider"))
         self.stats = {"decisions": 0, "characters": 0, "orders": 0, "samples": 0}
         # session memos, keyed per ring: spans of generator tuples, additive
-        # orders, group and element decompositions (abelian), and ideal
-        # accumulations and multiplication tensors (idealcore)
+        # orders, group and element decompositions (abelian), ideal
+        # accumulations and multiplication tensors (idealcore), the metered
+        # doubling tables of ``combine``, and the zero (ringops)
         self._spans: dict = {}
         self.orders: dict = {}
         self.groups: dict = {}
         self.decomp_memo: dict = {}
         self.accumulations: dict = {}
         self.tensors: dict = {}
+        self.doublings: dict = {}
+        self.zeros: dict = {}
 
     def fork(self, label: str) -> "PrimitiveProvider":
         cfg = ProviderConfig(
@@ -418,6 +461,18 @@ class PrimitiveProvider:
         # per-shot probability at most (1+1/4)/2 = 5/8
         need = ceil(log(1.0 / self.config.epsilon) / log(8.0 / 5.0))
         return max(SWAP_SAMPLES, need)
+
+    def combine(
+        self, ring: RingOracle, codes, coeffs, zero: ElementCode | None = None
+    ) -> ElementCode:
+        """sum_j coeffs[j] * codes[j] through the ring's metered channel, over
+        the session's doubling tables (``doublings``, per ring): each code
+        is doubled once per session, so a sum over known codes costs one
+        add per set bit of its coefficients, less one.  The tables are
+        bound to the metered channel here, and only here, so no code made
+        on the unmetered simulation channel enters a metered sum."""
+        powers = self.doublings.setdefault(ring._key, {})
+        return combine_codes(ring.metered, codes, coeffs, zero, powers)
 
     # ---- lattice algebra over descriptors (ground truth) ----
 
@@ -537,9 +592,9 @@ class PrimitiveProvider:
         A map additive by construction is certified, drawing nothing: each
         vector added to the moduli maps into the target, and s_j post(g_j)
         lies in the target for each generator whose order is not certified
-        yet (entrywise modulo the ring's moduli for the default ``post``,
-        whose target is their lattice).  Any other map is spot-checked
-        through the oracle."""
+        yet.  Both tests are entrywise modulo the ring's moduli for the
+        default ``post``, whose target is their lattice.  Any other map is
+        spot-checked through the oracle."""
         ring, gens, target = hiding.ring, hiding.combo_generators, hiding.target
         t = hiding.over_basis
         lattice = LatticeBuilder(hiding.moduli)
@@ -571,18 +626,8 @@ class PrimitiveProvider:
         if not hiding.additive:
             self._spot_check(hiding, lattice)
             return lattice
-        if t or hiding._relations:  # the default post: the target is the moduli lattice
-            vanishes = all(
-                s * v % m == 0
-                for s, image in zip(hiding.moduli, unchecked)
-                for v, m in zip(image, ring.spec._moduli)
-            )
-        else:
-            vanishes = all(
-                target.contains([s * v for v in image])
-                for s, image in zip(hiding.moduli, unchecked)
-            )
-        if not vanishes:
+        inside = _in_target(hiding)
+        if not all(inside([s * v for v in image]) for s, image in zip(hiding.moduli, unchecked)):
             raise _broken(hiding, "does not vanish on its moduli")
         _certify(hiding, images, added)
         return lattice
@@ -679,7 +724,9 @@ class PrimitiveProvider:
         """Smallest c >= 1 with c*a = 0.
 
         The sampled backend runs period finding on c (``_period_estimates``)
-        and certifies each round's lcm through the metered addition oracle.
+        and certifies each round's lcm, as acc*a + a = a through the metered
+        addition oracle (``combine``), when it differs from the last one
+        checked.
         Orders are memoized in ``orders`` under (ring key, code): a repeat
         call makes no draw and no query.
         """
@@ -689,11 +736,14 @@ class PrimitiveProvider:
         self.stats["orders"] += 1
         c = ring._additive_order(a)
         if self.sampled and c > 1:
-            chan = ring.metered
+            add, checked = ring.metered.add, None
             for acc in self._period_estimates(c, c):
-                # acc divides c; acc*a = 0 certifies acc = c
-                if chan.add(_double_and_add(chan.add, a, acc), a) == a:
-                    break
+                # acc divides c; acc*a = 0 certifies acc = c.  An lcm that did
+                # not grow failed its check already: the oracle is a function
+                if acc != checked:
+                    checked = acc
+                    if add(self.combine(ring, (a,), (acc,)), a) == a:
+                        break
             else:
                 raise LowConfidenceError("additive order did not stabilize")
         self.orders[(ring._key, a)] = c

@@ -20,7 +20,6 @@ from math import ceil, log
 from .abelian import (
     InvariantFactorBasis,
     _basis_descriptor,
-    combine_codes,
     decompose_elements,
     ideal_lattice,
 )
@@ -202,7 +201,7 @@ def _hidden_entries(ring, rep, label, name, provider):
     gens, orders = subgroup_of_torus(provider.solve_ahsp(hiding), rep.basis.s)
     entries = [
         (
-            combine_codes(ring.metered, rep.basis.h, vec),
+            provider.combine(ring, rep.basis.h, vec),
             ScaledSum.over(vec, rep.provenance),
         )
         for vec in gens
@@ -328,7 +327,7 @@ def solve_linear(
     if not any(x):
         out = additive_identity(ring, provider)
     else:
-        out = combine_codes(ring.metered, basis.h, x)
+        out = provider.combine(ring, basis.h, x)
     if ring.mul(a, out) != b:
         raise LowConfidenceError("linear solution failed the oracle check")
     return out
@@ -353,7 +352,7 @@ def multiplicative_identity(
     coords = solve_modular(columns, rhs, s * l)
     if coords is None or not any(coords):
         raise PreconditionError("no multiplicative identity in the spanned set")
-    e = combine_codes(ring.metered, basis.h, coords)
+    e = provider.combine(ring, basis.h, coords)
     for g in ring.generators:
         if ring.mul(e, g) != g or ring.mul(g, e) != g:
             raise LowConfidenceError("identity candidate failed the oracle check")
@@ -361,12 +360,15 @@ def multiplicative_identity(
 
 
 def additive_identity(ring: RingOracle, provider: PrimitiveProvider) -> ElementCode:
-    """Zero as c*r for the additive order c of any element r."""
-    r = ring.generators[0]
-    c = provider.find_additive_order(ring, r)
-    if c == 1:
-        return r
-    return combine_codes(ring.metered, (r,), (c,))
+    """Zero as c*r for the additive order c of any element r, found once per
+    provider and ring (``provider.zeros``)."""
+    zero = provider.zeros.get(ring._key)
+    if zero is None:
+        r = ring.generators[0]
+        c = provider.find_additive_order(ring, r)
+        zero = r if c == 1 else provider.combine(ring, (r,), (c,))
+        provider.zeros[ring._key] = zero
+    return zero
 
 
 def additive_inverse(
@@ -376,7 +378,7 @@ def additive_inverse(
     c = provider.find_additive_order(ring, x)
     if c == 1:
         return x
-    return combine_codes(ring.metered, (x,), (c - 1,))
+    return provider.combine(ring, (x,), (c - 1,))
 
 
 def _spot_check_hom(rho: HomomorphismOracle, provider: PrimitiveProvider):

@@ -17,24 +17,36 @@ def _trees():
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _callers(name):
-    """(module file, enclosing function) of every call to ``name``
-    in the package, by attribute or bare name."""
-    callers = []
+def _found(match):
+    """(module file, enclosing function, node) of every node of the
+    package that ``match`` accepts."""
+    found = []
     for module, tree in _trees():
         parents = {
             child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)
         }
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                fn = node.func
-                called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if called == name:
-                    outer = node
-                    while not isinstance(outer, (ast.FunctionDef, ast.Module)):
-                        outer = parents[outer]
-                    callers.append((module, getattr(outer, "name", None)))
-    return callers
+            if match(node):
+                outer = node
+                while not isinstance(outer, (ast.FunctionDef, ast.Module)):
+                    outer = parents[outer]
+                found.append((module, getattr(outer, "name", None), node))
+    return found
+
+
+def _called(node):
+    """The name a call node calls, by attribute or bare name."""
+    fn = node.func
+    return fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+
+
+def _callers(name):
+    """(module file, enclosing function) of every call to ``name``
+    in the package, by attribute or bare name."""
+    return [
+        (module, fn)
+        for module, fn, _ in _found(lambda n: isinstance(n, ast.Call) and _called(n) == name)
+    ]
 
 
 def _defined(name):
@@ -127,3 +139,24 @@ def test_getrandbits_called_only_to_advance_the_stream():
         ("qsim.py", "_skip_randranges"),
         ("qsim.py", "is_subset_decision"),
     ]
+
+
+def test_doubling_tables_extended_only_on_the_metered_channel():
+    # a session's doubling tables live in PrimitiveProvider.doublings and
+    # reach combine_codes only through PrimitiveProvider.combine, bound to
+    # ring.metered: no code made on the unmetered simulation channel can
+    # enter a metered sum, and no table entry is made off the ledger
+    uses = _found(lambda n: isinstance(n, ast.Attribute) and n.attr == "doublings")
+    assert sorted((module, fn) for module, fn, _ in uses) == [
+        ("qsim.py", "__init__"),
+        ("qsim.py", "combine"),
+    ]
+    tabled = [
+        (module, fn, ast.unparse(node.args[0]))
+        for module, fn, node in _found(
+            lambda n: isinstance(n, ast.Call)
+            and _called(n) == "combine_codes"
+            and (len(n.args) > 4 or any(kw.arg == "powers" for kw in n.keywords))
+        )
+    ]
+    assert tabled == [("qsim.py", "combine", "ring.metered")]

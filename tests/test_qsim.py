@@ -43,6 +43,7 @@ from ringbox.qsim import (
     _reconstruct,
     _skip_randranges,
     _Span,
+    combine_codes,
 )
 from test_acceptance import DESK_SUITE
 from test_ground_truth import small_specs
@@ -865,7 +866,9 @@ def replayed(state, ranges):
 
 def test_sampled_order_finders_pin_their_draws():
     # additive: outcomes j below the period c = 100, three rounds at this
-    # seed, each certified through the metered oracle (24 adds in all)
+    # seed, of lcm 25, 50 and 100, each certified through the metered oracle
+    # over one doubling table of the element: 4 + 1 + 1 doublings, and 2
+    # adds per sum and 1 per check (15 adds in all)
     r = make_ring(ModularSpec(100), 5)
     p = provider("sampled", seed=3)
     start = p.rng.getstate()
@@ -874,7 +877,7 @@ def test_sampled_order_finders_pin_their_draws():
     assert p.find_additive_order(r, one) == 100
     assert p.rng.ranges == [(100,)] * 3
     assert p.rng.getstate() == replayed(start, p.rng.ranges)
-    assert r.ledger.snapshot() == (24, 0)
+    assert r.ledger.snapshot() == (15, 0)
 
     # multiplicative, on Z_202 / (101) = Z_101 of 101 cosets: outcomes
     # below the period 100 of 2, not below the coset count; two rounds at
@@ -891,6 +894,21 @@ def test_sampled_order_finders_pin_their_draws():
     assert p.rng.ranges == [(100,)] * 2
     assert p.rng.getstate() == replayed(start, p.rng.ranges)
     assert r.ledger.snapshot() == (before[0], before[1] + 9)
+
+
+def test_additive_order_checks_each_lcm_once():
+    # a round whose running lcm did not grow made the same failed check
+    # before it: the certificates of 1, 5, 5, 25, 25, 100 cost those of
+    # 1, 5, 25, 100, and the draws are the finder's own
+    spent = []
+    for accs in ((1, 5, 5, 25, 25, 100), (1, 5, 25, 100)):
+        r = make_ring(ModularSpec(100), 5)
+        (one,) = codes(r, 1)
+        p = provider("sampled", seed=3)
+        p._period_estimates = lambda period, bound, accs=accs: iter(accs)
+        assert p.find_additive_order(r, one) == 100
+        spent.append(r.ledger.snapshot())
+    assert spent[0] == spent[1]
 
 
 def test_memoized_additive_order_draws_and_queries_nothing():
@@ -999,3 +1017,71 @@ def test_provider_fork_determinism():
     f2 = p2.fork("task")
     assert [f1.rng.random() for _ in range(5)] == [f2.rng.random() for _ in range(5)]
     assert p1.fork("other").rng.random() != p1.fork("task2").rng.random()
+
+
+def popcount(c):
+    return bin(c).count("1")
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_specs(), st.integers(0, 1 << 20), st.data())
+def test_doubling_tables_sum_as_the_table_less_route(spec, seed, data):
+    ring = make_ring(spec, seed)
+    size = spec.order()
+    k = data.draw(st.integers(1, 4), label="terms")
+    xs = [
+        ring._encode(spec.element_at(data.draw(st.integers(0, size - 1), label="element")))
+        for _ in range(k)
+    ]
+    pool = data.draw(st.lists(st.integers(1, 1 << 12), min_size=1, max_size=2), label="pool")
+    coeff = st.one_of(st.just(0), st.integers(0, 1 << 12), st.sampled_from(pool))
+    cs = [data.draw(coeff, label="coefficient") for _ in range(k)]
+    # brute force: the sum of the coefficients times the coordinates
+    moduli = spec.additive_moduli()
+    total = [0] * len(moduli)
+    for c, x in zip(cs, xs):
+        total = [a + c * b for a, b in zip(total, ring._coords(x))]
+    want = ring._encode(spec.from_coords(tuple(a % m for a, m in zip(total, moduli))))
+    zero = ring._zero_code()
+    chan = ring.metered
+    doublings = sum(c.bit_length() - 1 for c in cs if c)
+    adds = max(sum(map(popcount, cs)) - 1, 0)
+
+    def cost(*args):
+        before = ring.ledger.snapshot()
+        got = combine_codes(chan, xs, cs, zero, *args)
+        spent = ring.ledger.snapshot()
+        return got, spent[0] - before[0], spent[1] - before[1]
+
+    assert cost() == (want, doublings + adds, 0)  # a fresh table per term
+    powers = {}
+    got, cold, _ = cost(powers)
+    assert got == want and cold <= doublings + adds  # a repeated code doubles once
+    assert cost(powers) == (want, adds, 0)  # warm: only the set bits
+    for x, table in powers.items():
+        for b, entry in enumerate(table):
+            assert entry == combine_codes(ring.unmetered, (x,), (1 << b,))
+    # the session's tables are the provider's, per ring, on the metered channel
+    p = provider(seed=seed)
+    assert p.combine(ring, xs, cs, zero) == want
+    before = ring.ledger.snapshot()
+    assert p.combine(ring, xs, cs, zero) == want
+    assert ring.ledger.snapshot()[0] - before[0] == adds
+    assert set(p.doublings) == {ring._key}
+
+
+def test_negative_coefficients_are_refused():
+    r = ring_z12()
+    one, four = codes(r, 1, 4)
+    p = provider()
+    for powers in (None, {}):
+        with pytest.raises(ValueError):
+            combine_codes(r.metered, (one, four), (3, -1), None, powers)
+    with pytest.raises(ValueError):
+        p.combine(r, (four,), (-2,))

@@ -138,6 +138,18 @@ def test_solve_linear(z12):
     assert ops.solve_linear(r, one, b, p, rep) == b
 
 
+def test_additive_identity_found_once_per_session():
+    r = make_ring(ModularSpec(12), 7)
+    for backend in ("exact", "sampled"):
+        p = provider(backend, seed=3)
+        zero = ops.additive_identity(r, p)
+        assert zero == lit(r, "0")
+        seen = (r.ledger.snapshot(), p.rng.getstate(), dict(p.stats))
+        assert ops.additive_identity(r, p) == zero
+        assert (r.ledger.snapshot(), p.rng.getstate(), p.stats) == seen
+        assert p.zeros == {r._key: zero}
+
+
 def test_identities(z12):
     r, p, rep = z12
     assert ops.multiplicative_identity(r, p, rep) == lit(r, "1")
