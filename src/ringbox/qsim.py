@@ -462,9 +462,7 @@ class PrimitiveProvider:
         need = ceil(log(1.0 / self.config.epsilon) / log(8.0 / 5.0))
         return max(SWAP_SAMPLES, need)
 
-    def combine(
-        self, ring: RingOracle, codes, coeffs, zero: ElementCode | None = None
-    ) -> ElementCode:
+    def combine(self, ring: RingOracle, codes, coeffs) -> ElementCode:
         """sum_j coeffs[j] * codes[j] through the ring's metered channel, over
         the session's doubling tables (``doublings``, per ring): each code
         is doubled once per session, so a sum over known codes costs one
@@ -472,7 +470,7 @@ class PrimitiveProvider:
         bound to the metered channel here, and only here, so no code made
         on the unmetered simulation channel enters a metered sum."""
         powers = self.doublings.setdefault(ring._key, {})
-        return combine_codes(ring.metered, codes, coeffs, zero, powers)
+        return combine_codes(ring.metered, codes, coeffs, None, powers)
 
     # ---- lattice algebra over descriptors (ground truth) ----
 

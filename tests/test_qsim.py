@@ -1069,9 +1069,13 @@ def test_doubling_tables_sum_as_the_table_less_route(spec, seed, data):
             assert entry == combine_codes(ring.unmetered, (x,), (1 << b,))
     # the session's tables are the provider's, per ring, on the metered channel
     p = provider(seed=seed)
-    assert p.combine(ring, xs, cs, zero) == want
+    if not any(cs):
+        with pytest.raises(PreconditionError):
+            p.combine(ring, xs, cs)  # the empty combination has no zero code
+        return
+    assert p.combine(ring, xs, cs) == want
     before = ring.ledger.snapshot()
-    assert p.combine(ring, xs, cs, zero) == want
+    assert p.combine(ring, xs, cs) == want
     assert ring.ledger.snapshot()[0] - before[0] == adds
     assert set(p.doublings) == {ring._key}
 
