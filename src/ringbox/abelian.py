@@ -178,7 +178,7 @@ def decompose_elements(
             if any(vec):
                 ok = provider.combine(ring, basis.h, vec) == x
             else:
-                ok = ring.metered.add(x, basis.h[0]) == basis.h[0]  # x must be the zero element
+                ok = ring.add(x, basis.h[0]) == basis.h[0]  # x must be the zero element
             if ok:
                 memo[x] = vec
         pending = [x for x in pending if x not in memo]

@@ -19,6 +19,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm, prod
 
 from .errors import (
@@ -241,7 +242,7 @@ class ProductSpec(RingSpec):
         return tuple(f.parse_literal(p) for f, p in zip(self.factors, parts))
 
     def format_value(self, a):
-        return "(" + ", ".join(f.format_value(x) for f, x in zip(self.factors, a)) + ")"
+        return "(" + ", ".join(_format_nested(f, x) for f, x in zip(self.factors, a)) + ")"
 
 
 @dataclass(frozen=True)
@@ -317,7 +318,17 @@ class MatrixSpec(RingSpec):
         return f"matrix {self.k} over {self.base.describe()}"
 
     def parse_literal(self, text):
-        rows = _split_top_level(text.strip(), ";")
+        text = text.strip()
+        if _enclosed(text):  # nested, or a 1 x 1 matrix's polyquot cell
+            try:
+                return self._parse_rows(text[1:-1])
+            except ParseError:
+                if self.k > 1:
+                    raise
+        return self._parse_rows(text)
+
+    def _parse_rows(self, text):
+        rows = _split_top_level(text, ";")
         if len(rows) != self.k:
             raise ParseError(f"matrix literal has {len(rows)} rows, expected {self.k}")
         out = []
@@ -331,9 +342,7 @@ class MatrixSpec(RingSpec):
         return tuple(out)
 
     def format_value(self, a):
-        return ";".join(
-            ",".join(self.base.format_value(x) for x in row) for row in a
-        )
+        return ";".join(",".join(_format_nested(self.base, x) for x in row) for row in a)
 
 
 @dataclass(frozen=True)
@@ -431,6 +440,18 @@ class PolyQuotSpec(RingSpec):
         return "[" + ", ".join(str(c) for c in a) + "]"
 
 
+def _format_nested(spec: RingSpec, a) -> str:
+    """The literal of a as a product factor or a matrix cell: a matrix's in brackets."""
+    text = spec.format_value(a)
+    return f"[{text}]" if isinstance(spec, MatrixSpec) else text
+
+
+def _enclosed(text: str) -> bool:
+    """Whether one bracket pair encloses all of text."""
+    depths = accumulate((ch in "([") - (ch in ")]") for ch in text[1:-1])
+    return text[:1] == "[" and text[-1:] == "]" and min(depths, default=0) >= 0
+
+
 def _split_top_level(text: str, sep: str) -> list[str]:
     """Split on sep outside any (), [] nesting."""
     parts, depth, cur = [], 0, []
@@ -504,14 +525,10 @@ class _KeyedPermutation:
 
 @dataclass
 class QueryLedger:
-    """Counts oracle invocations; monotone unless explicitly reset."""
+    """Counts oracle invocations; monotone."""
 
     add_count: int = 0
     mul_count: int = 0
-
-    def reset(self):
-        self.add_count = 0
-        self.mul_count = 0
 
     def total(self) -> int:
         return self.add_count + self.mul_count
@@ -521,17 +538,14 @@ class QueryLedger:
 
 
 class OracleChannel:
-    """View of a ring's add/mul bound to one ledger (or to none)."""
+    """View of a ring's add/mul bound to its verification ledger or to none;
+    metered queries go through ``RingOracle.add``/``mul`` alone."""
 
     __slots__ = ("_ring", "_ledger")
 
     def __init__(self, ring: "RingOracle", ledger: QueryLedger | None):
         self._ring = ring
         self._ledger = ledger
-
-    @property
-    def ring(self):
-        return self._ring
 
     def add(self, a: ElementCode, b: ElementCode) -> ElementCode:
         out = self._ring._raw_add(a, b)
@@ -549,10 +563,11 @@ class OracleChannel:
 class RingOracle:
     """Black-box access to a constructed ring.
 
-    ``add``/``mul`` are the metered oracles.  ``unmetered`` is the channel the
-    quantum-subroutine simulation layer uses (a stand-in quantum device's
-    internal queries are not algorithm queries).  ``verification`` carries its
-    own ledger, for brute-force ground-truth paths.
+    ``add``/``mul`` are the metered oracles, the one route onto ``ledger``
+    (metered sums take the ring itself as their channel).  ``unmetered`` is
+    the channel the quantum-subroutine simulation layer uses (a stand-in
+    quantum device's internal queries are not algorithm queries).
+    ``verification`` carries its own ledger, for brute-force ground truth.
 
     Methods prefixed with an underscore expose the hidden construction; they
     exist for the simulation cheat layer, brute-force verification, and CLI
@@ -644,10 +659,6 @@ class RingOracle:
         out = self._raw_mul(a, b)
         self.ledger.mul_count += 1
         return out
-
-    @property
-    def metered(self) -> OracleChannel:
-        return OracleChannel(self, self.ledger)
 
     @property
     def unmetered(self) -> OracleChannel:

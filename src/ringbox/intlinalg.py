@@ -12,9 +12,9 @@ reads the stacked form, the columns (t; 0) over a target lattice and
 ``stacked_lattice`` is its one builder (from scratch, or extending a stacked
 form of a prefix of the images by one column per new image), and
 ``preimage`` (a particular solution: ``solve_modular``, span coordinates)
-and ``kernel_columns`` (the zero-head columns: ``lattice_kernel_mod``, the
-hidden subgroups of ``qsim``) are its only readers.  The solvers take lists
-of columns, one entry per modulus.
+and ``kernel_columns`` (the zero-head columns: ``subgroup_of_torus``'s
+relation lattice, the hidden subgroups of ``qsim``) are its only readers.
+The solvers take lists of columns, one entry per modulus.
 ``IntMatrix`` is the Smith form's type; the Smith form serves only
 ``invariant_factors``: the group decomposition, the field test and
 ``subgroup_of_torus`` (a hidden subgroup's generators for ``ringops``;
@@ -46,7 +46,6 @@ __all__ = [
     "LatticeBuilder",
     "stacked_lattice",
     "preimage",
-    "lattice_kernel_mod",
     "invariant_factors",
     "subgroup_of_torus",
     "egcd",
@@ -454,13 +453,6 @@ def solve_modular(columns, b, moduli) -> tuple[int, ...] | None:
     return tuple(xj % eff for xj, eff in zip(x, effective))
 
 
-def lattice_kernel_mod(columns, moduli) -> tuple[tuple[int, ...], ...]:
-    """Basis of {z : sum_j z_j columns[j] == 0 modulo the moduli, row by
-    row}, canonical HNF: the kernel of the columns stacked over the moduli."""
-    moduli = tuple(moduli)
-    return kernel_columns(stacked_lattice(list(columns), LatticeBuilder(moduli)), len(moduli))
-
-
 def _is_divisor_chain(columns) -> bool:
     """Whether the j-th of the k columns is d_j e_j, 0 < d_1 | d_2 | ..."""
     k, prev = len(columns), 1
@@ -524,7 +516,9 @@ def subgroup_of_torus(gens, moduli) -> tuple[tuple[tuple[int, ...], ...], tuple[
     gens = [g for g in gens if any(g)]
     if not gens:
         return (), ()
-    orders, to_original, _ = invariant_factors(lattice_kernel_mod(gens, moduli), len(gens))
+    # the relation lattice {z : sum_j z_j gens[j] = 0 modulo the moduli}
+    relations = kernel_columns(stacked_lattice(gens, LatticeBuilder(moduli)), k)
+    orders, to_original, _ = invariant_factors(relations, len(gens))
     new_gens = tuple(
         tuple(
             sum(c * g[r] for c, g in zip(coeffs, gens)) % moduli[r] for r in range(k)

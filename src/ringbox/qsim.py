@@ -53,7 +53,7 @@ All ground-truth queries run on the ring's unmetered channel: a stand-in
 quantum device's internal oracle calls are not classical algorithm queries.
 Metered sums of codes with a session go through ``PrimitiveProvider.combine``,
 which keeps each code's doubling table [h, 2h, 4h, ...] per ring and extends
-it only through the metered channel: each code is doubled once per session,
+it only through the metered ``ring.add``: each code is doubled once per session,
 and a sum then costs one add per set bit of its coefficients, less one.
 ``combine_codes`` is the one routine that sums codes; without a table it
 doubles each term afresh.
@@ -387,8 +387,9 @@ def _double_and_add(op, code: ElementCode, k: int) -> ElementCode:
 def combine_codes(
     chan, codes, coeffs, zero: ElementCode | None = None, powers: dict | None = None
 ) -> ElementCode:
-    """sum_j coeffs[j] * codes[j] through the oracle channel, as one add per
-    set bit b of each coefficient of the table entry 2^b * codes[j].
+    """sum_j coeffs[j] * codes[j] through ``chan.add`` (a channel, or the
+    ring itself for metered adds), as one add per set bit b of each
+    coefficient of the table entry 2^b * codes[j].
 
     ``powers`` maps a code h to its doubling table [h, 2h, 4h, ...], which
     is extended through ``chan`` only as far as a coefficient needs (fixed-
@@ -397,7 +398,7 @@ def combine_codes(
     sum_j (bit_length(c_j) - 1) doublings and sum_j popcount(c_j) - 1 adds;
     over a warm table only the adds remain.  A coefficient of 0 or 1 needs
     no table.  A session's tables are ``PrimitiveProvider.combine``'s, on
-    the metered channel alone.  The empty combination needs an explicit
+    the metered oracle alone.  The empty combination needs an explicit
     zero code.
     """
     acc = None
@@ -463,14 +464,14 @@ class PrimitiveProvider:
         return max(SWAP_SAMPLES, need)
 
     def combine(self, ring: RingOracle, codes, coeffs) -> ElementCode:
-        """sum_j coeffs[j] * codes[j] through the ring's metered channel, over
-        the session's doubling tables (``doublings``, per ring): each code
-        is doubled once per session, so a sum over known codes costs one
-        add per set bit of its coefficients, less one.  The tables are
-        bound to the metered channel here, and only here, so no code made
-        on the unmetered simulation channel enters a metered sum."""
+        """sum_j coeffs[j] * codes[j] through the ring's metered ``add``,
+        over the session's doubling tables (``doublings``, per ring): each
+        code is doubled once per session, so a sum over known codes costs
+        one add per set bit of its coefficients, less one.  The tables are
+        bound to the ring itself here, and only here, so no code made on
+        the unmetered simulation channel enters a metered sum."""
         powers = self.doublings.setdefault(ring._key, {})
-        return combine_codes(ring.metered, codes, coeffs, None, powers)
+        return combine_codes(ring, codes, coeffs, None, powers)
 
     # ---- lattice algebra over descriptors (ground truth) ----
 
@@ -734,13 +735,13 @@ class PrimitiveProvider:
         self.stats["orders"] += 1
         c = ring._additive_order(a)
         if self.sampled and c > 1:
-            add, checked = ring.metered.add, None
+            checked = None
             for acc in self._period_estimates(c, c):
                 # acc divides c; acc*a = 0 certifies acc = c.  An lcm that did
                 # not grow failed its check already: the oracle is a function
                 if acc != checked:
                     checked = acc
-                    if add(self.combine(ring, (a,), (acc,)), a) == a:
+                    if ring.add(self.combine(ring, (a,), (acc,)), a) == a:
                         break
             else:
                 raise LowConfidenceError("additive order did not stabilize")
@@ -786,7 +787,7 @@ class PrimitiveProvider:
             return period
         for acc in self._period_estimates(period, size):
             if acc == period:
-                p = _double_and_add(ring.metered.mul, r, acc + 1)
+                p = _double_and_add(ring.mul, r, acc + 1)
                 if label_of(p) == start:
                     return acc
         raise LowConfidenceError("multiplicative order did not stabilize")

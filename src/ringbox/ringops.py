@@ -161,7 +161,7 @@ def inverse(
         raise PreconditionError("element is not a unit")
     if c == 1:  # r * r = r forces r to be the identity
         return r
-    return _double_and_add(ring.metered.mul, r, c - 1)
+    return _double_and_add(ring.mul, r, c - 1)
 
 
 def _label_map(coords, lattice: LatticeBuilder, maps, additive: bool):
@@ -295,6 +295,14 @@ def ring_order(
     return ring_rep.order()
 
 
+def _left_products(tensor, x):
+    """Entry j: the coordinates of x h_j over the basis h, from x's
+    coordinates over h, as sum_k x_k M[k][j] for the multiplication tensor
+    M (M[k][j] the coordinates of h_k h_j)."""
+    r = range(len(tensor))
+    return [[sum(x[k] * tensor[k][j][i] for k in r) for i in r] for j in r]
+
+
 def solve_linear(
     ring: RingOracle,
     a: ElementCode,
@@ -310,18 +318,10 @@ def solve_linear(
     """
     ring_rep = ring_rep or ring_representation(ring, provider)
     basis = ring_rep.basis
-    s = basis.s
-    l = len(s)
     a_coords, b_coords = decompose_elements(ring, (a, b), basis, provider)
-    if l == 0:
+    if not basis.s:
         return None
-    tensor = ring_rep.tensor
-    # column j: the coordinates of a*h_j
-    columns = [
-        [sum(a_coords[k] * tensor[k][j][i] for k in range(l)) for i in range(l)]
-        for j in range(l)
-    ]
-    x = solve_modular(columns, b_coords, s)
+    x = solve_modular(_left_products(ring_rep.tensor, a_coords), b_coords, basis.s)
     if x is None:
         return None
     if not any(x):
@@ -462,7 +462,6 @@ def _quotient_is_field(ring_rep: BasisRepresentation, lat: LatticeBuilder) -> bo
     p, k = orders[0], len(orders)
     if any(o != p for o in orders) or not is_prime(p):
         return False
-    tensor = ring_rep.tensor
 
     def project(w):  # coordinates over h -> coordinates over S's basis u
         return tuple(
@@ -470,13 +469,7 @@ def _quotient_is_field(ring_rep: BasisRepresentation, lat: LatticeBuilder) -> bo
         )
 
     # left[a][t] = u_a h_t over h; table[a][b] = u_a u_b over u
-    left = [
-        [
-            [sum(u[t] * tensor[t][t2][m] for t in range(l)) for m in range(l)]
-            for t2 in range(l)
-        ]
-        for u in to_original
-    ]
+    left = [_left_products(ring_rep.tensor, u) for u in to_original]
     table = [
         [
             project([sum(v[t] * left[a][t][m] for t in range(l)) for m in range(l)])

@@ -1,9 +1,10 @@
 """Dense integer matrix algebra for checking ``ringbox.intlinalg`` results:
 identities, columns, products, matrix-vector products, the diagonal test,
-and an unbounded reference Hermite form."""
+the kernel of columns modulo moduli, and an unbounded reference Hermite
+form."""
 
 from ringbox.errors import DimensionError
-from ringbox.intlinalg import IntMatrix
+from ringbox.intlinalg import IntMatrix, LatticeBuilder, kernel_columns, stacked_lattice
 
 
 def identity(n: int) -> IntMatrix:
@@ -13,6 +14,13 @@ def identity(n: int) -> IntMatrix:
 def columns(a: IntMatrix) -> list[tuple[int, ...]]:
     """The matrix as the column list the modular solvers take."""
     return [a.col(j) for j in range(a.cols)]
+
+
+def kernel_mod(cols, moduli) -> tuple[tuple[int, ...], ...]:
+    """Canonical Hermite basis of {z : sum_j z_j cols[j] = 0 modulo the
+    moduli, row by row}: the kernel columns of cols stacked over the moduli."""
+    moduli = tuple(moduli)
+    return kernel_columns(stacked_lattice(list(cols), LatticeBuilder(moduli)), len(moduli))
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -25,6 +25,7 @@ from ringbox.blackbox import (
     ModularSpec,
     PolyQuotSpec,
     ProductSpec,
+    format_element,
     make_ring,
     parse_element_literal,
 )
@@ -287,6 +288,9 @@ MATRIX_OVER_PRODUCT = MatrixSpec(2, ProductSpec((ModularSpec(2), ModularSpec(2))
 MATRIX_OVER_POLYQUOT = MatrixSpec(2, PolyQuotSpec(2, (1, 1, 1)))
 MATRIX_3 = MatrixSpec(3, ModularSpec(2))
 PRODUCT_OF_POLYQUOTS = ProductSpec((PolyQuotSpec(2, (1, 1, 1)), PolyQuotSpec(3, (0, 0, 1))))
+# a matrix as a product factor and as a matrix cell
+PRODUCT_WITH_MATRIX = ProductSpec((ModularSpec(2), MatrixSpec(2, ModularSpec(2))))
+MATRIX_OVER_MATRIX = MatrixSpec(2, MatrixSpec(2, ModularSpec(2)))
 
 
 @settings(
@@ -319,6 +323,28 @@ def test_nested_specs_against_enumeration(spec, seed):
     zero = verify.find_zero(ring, elems)
     assert rep.order() == len(closure)
     assert verify.additive_span(ring, rep.basis.h + (zero,)) == closure
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(PRODUCT_WITH_MATRIX, 1)
+@example(MATRIX_OVER_MATRIX, 2)
+@example(MatrixSpec(1, MatrixSpec(1, PolyQuotSpec(2, (1, 1, 1)))), 3)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_element_literals_round_trip(spec, seed):
+    # every element of a small ring, 64 random ones of a larger ring
+    ring = make_ring(spec, seed)
+    rng = random.Random(seed)
+    n = spec.order()
+    indices = range(n) if n <= 64 else [rng.randrange(n) for _ in range(64)]
+    for idx in indices:
+        code = ring._encode(spec.element_at(idx))
+        assert parse_element_literal(ring, format_element(ring, code)) == code
 
 
 def naive_closure(ring, gens, side):

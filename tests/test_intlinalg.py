@@ -17,7 +17,6 @@ from ringbox.intlinalg import (
     invariant_factors,
     is_prime,
     kernel_columns,
-    lattice_kernel_mod,
     preimage,
     smith_normal_form,
     solve_modular,
@@ -25,7 +24,15 @@ from ringbox.intlinalg import (
     subgroup_of_torus,
 )
 
-from matrix_algebra import ReferenceHermite, apply, columns, identity, is_diagonal, matmul
+from matrix_algebra import (
+    ReferenceHermite,
+    apply,
+    columns,
+    identity,
+    is_diagonal,
+    kernel_mod,
+    matmul,
+)
 
 
 def check_snf(a: IntMatrix):
@@ -206,7 +213,7 @@ def test_stacked_form_extends_a_stacked_prefix(case, canonical):
 @given(stacked_cases(seeded_only=True))
 @settings(max_examples=150, deadline=None)
 def test_seeded_stacked_form_keeps_the_re_added_pivots(case):
-    # solve_modular, lattice_kernel_mod and a root span stack over seeded
+    # solve_modular, subgroup_of_torus and a root span stack over seeded
     # targets: their pre-canonical pivots, and so every preimage, must be
     # those of re-adding the target's canonical columns
     images, target, _, queries = case
@@ -446,7 +453,7 @@ def test_bounded_builder_matches_an_unbounded_hermite_form(case):
 
 
 def test_lattice_kernel_mod_simple():
-    basis = lattice_kernel_mod([(4,)], [12])
+    basis = kernel_mod([(4,)], [12])
     lat = LatticeBuilder([12])
     for col in basis:
         lat.add(col)
@@ -466,9 +473,10 @@ def in_echelon_span(basis, z) -> bool:
 
 
 def check_kernel_mod(w: IntMatrix, moduli, half: int):
-    """lattice_kernel_mod against brute force on the box [-half, half]^n,
-    and its columns in canonical Hermite form."""
-    basis = lattice_kernel_mod(columns(w), moduli)
+    """The kernel modulo the moduli (stacked columns, zero-head tails)
+    against brute force on the box [-half, half]^n, and its columns in
+    canonical Hermite form."""
+    basis = kernel_mod(columns(w), moduli)
     pivots = [next(i for i, v in enumerate(col) if v) for col in basis]
     assert pivots == sorted(set(pivots))
     for col, r in zip(basis, pivots):
@@ -498,7 +506,7 @@ def test_lattice_kernel_mod_vs_brute(m, n, data):
 @pytest.mark.parametrize("n", range(5))
 def test_lattice_kernel_mod_zero_rows(n):
     w = IntMatrix(0, n, ())
-    assert lattice_kernel_mod(columns(w), ()) == tuple(identity(n).row(i) for i in range(n))
+    assert kernel_mod(columns(w), ()) == tuple(identity(n).row(i) for i in range(n))
     check_kernel_mod(w, (), BOX_HALF[n])
 
 

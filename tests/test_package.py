@@ -100,11 +100,11 @@ def test_decompose_group_called_only_by_the_accumulation():
 def test_stacked_lattice_built_only_where_no_span_holds_it():
     # a span's stacked form extends its parent's (one call, over the
     # parent's form or the moduli), and relation lattices read it off the
-    # span: only a caller-supplied post and the two modular solvers stack
-    # images over a target outside a span
+    # span: only a caller-supplied post, the modular solver and the torus
+    # subgroup's relation lattice stack images over a target outside a span
     assert sorted(_callers("stacked_lattice")) == [
-        ("intlinalg.py", "lattice_kernel_mod"),
         ("intlinalg.py", "solve_modular"),
+        ("intlinalg.py", "subgroup_of_torus"),
         ("qsim.py", "_hidden_subgroup_exact"),
         ("qsim.py", "stacked"),
     ]
@@ -118,10 +118,15 @@ def test_int_matrix_built_only_in_intlinalg():
     assert _callers("zeros") == []
 
 
-def test_lattice_kernel_mod_called_only_for_the_torus_subgroup():
+def test_kernel_columns_read_only_by_the_torus_subgroup_and_exact_solve():
     # the sampled solve reads the dual of its hidden lattice, and of its
-    # rows' lattice, off their triangular Hermite columns by back-substitution
-    assert _callers("lattice_kernel_mod") == [("intlinalg.py", "subgroup_of_torus")]
+    # rows' lattice, off their triangular Hermite columns by back-substitution;
+    # the torus subgroup reads its relation lattice inline, with no wrapper
+    assert sorted(_callers("kernel_columns")) == [
+        ("intlinalg.py", "subgroup_of_torus"),
+        ("qsim.py", "_hidden_subgroup_exact"),
+    ]
+    assert _defined("lattice_kernel_mod") == []
 
 
 def test_no_coord_subgroup_or_builder_copy():
@@ -144,7 +149,7 @@ def test_getrandbits_called_only_to_advance_the_stream():
 def test_doubling_tables_extended_only_on_the_metered_channel():
     # a session's doubling tables live in PrimitiveProvider.doublings and
     # reach combine_codes only through PrimitiveProvider.combine, bound to
-    # ring.metered: no code made on the unmetered simulation channel can
+    # the ring itself: no code made on the unmetered simulation channel can
     # enter a metered sum, and no table entry is made off the ledger
     uses = _found(lambda n: isinstance(n, ast.Attribute) and n.attr == "doublings")
     assert sorted((module, fn) for module, fn, _ in uses) == [
@@ -159,4 +164,31 @@ def test_doubling_tables_extended_only_on_the_metered_channel():
             and (len(n.args) > 4 or any(kw.arg == "powers" for kw in n.keywords))
         )
     ]
-    assert tabled == [("qsim.py", "combine", "ring.metered")]
+    assert tabled == [("qsim.py", "combine", "ring")]
+
+
+def test_ring_add_and_mul_are_the_one_metered_route():
+    # metered queries go through RingOracle.add/mul alone: no metered
+    # channel is read, the ring's ledger counts are written only there, and
+    # every channel is bound to no ledger or to the verification ledger
+    assert _found(lambda n: isinstance(n, ast.Attribute) and n.attr == "metered") == []
+    counts = sorted(
+        (module, fn, ast.unparse(node))
+        for module, fn, node in _found(
+            lambda n: isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Store)
+            and n.attr in ("add_count", "mul_count")
+        )
+    )
+    # self.ledger is RingOracle's; OracleChannel holds its ledger in _ledger
+    assert counts == [
+        ("blackbox.py", "add", "self._ledger.add_count"),
+        ("blackbox.py", "add", "self.ledger.add_count"),
+        ("blackbox.py", "mul", "self._ledger.mul_count"),
+        ("blackbox.py", "mul", "self.ledger.mul_count"),
+    ]
+    bound = sorted(
+        ast.unparse(node.args[1])
+        for _, _, node in _found(lambda n: isinstance(n, ast.Call) and _called(n) == "OracleChannel")
+    )
+    assert bound == ["None", "self.verification_ledger"]

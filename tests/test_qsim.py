@@ -31,7 +31,7 @@ from ringbox.errors import (
     PreconditionError,
 )
 from ringbox.idealcore import IdealSpec
-from ringbox.intlinalg import LatticeBuilder, lattice_kernel_mod
+from ringbox.intlinalg import LatticeBuilder
 from ringbox.qsim import (
     HidingFunction,
     PrimitiveProvider,
@@ -45,6 +45,7 @@ from ringbox.qsim import (
     _Span,
     combine_codes,
 )
+from matrix_algebra import kernel_mod
 from test_acceptance import DESK_SUITE
 from test_ground_truth import small_specs
 
@@ -190,7 +191,7 @@ def unreduced_annihilator(vectors, moduli):
     rows = [[v * (big // m) for v, m in zip(y, moduli)] for y in vectors]
     # one column per coordinate, so that no vectors leave the kernel Z^l
     columns = [[row[j] for row in rows] for j in range(len(moduli))]
-    return lattice_kernel_mod(columns, [big] * len(rows))
+    return kernel_mod(columns, [big] * len(rows))
 
 
 @given(st.integers(1, 4), st.integers(1, 8), st.data())
@@ -1049,13 +1050,12 @@ def test_doubling_tables_sum_as_the_table_less_route(spec, seed, data):
         total = [a + c * b for a, b in zip(total, ring._coords(x))]
     want = ring._encode(spec.from_coords(tuple(a % m for a, m in zip(total, moduli))))
     zero = ring._zero_code()
-    chan = ring.metered
     doublings = sum(c.bit_length() - 1 for c in cs if c)
     adds = max(sum(map(popcount, cs)) - 1, 0)
 
     def cost(*args):
         before = ring.ledger.snapshot()
-        got = combine_codes(chan, xs, cs, zero, *args)
+        got = combine_codes(ring, xs, cs, zero, *args)
         spent = ring.ledger.snapshot()
         return got, spent[0] - before[0], spent[1] - before[1]
 
@@ -1086,6 +1086,6 @@ def test_negative_coefficients_are_refused():
     p = provider()
     for powers in (None, {}):
         with pytest.raises(ValueError):
-            combine_codes(r.metered, (one, four), (3, -1), None, powers)
+            combine_codes(r, (one, four), (3, -1), None, powers)
     with pytest.raises(ValueError):
         p.combine(r, (four,), (-2,))
