@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .errors import (
     InvalidCodeError,
@@ -51,9 +52,10 @@ __all__ = [
 DESK_CAP = 1 << 20
 
 
-@dataclass(frozen=True, slots=True)
-class ElementCode:
-    """Opaque fixed-width name of one ring element."""
+class ElementCode(NamedTuple):
+    """Opaque fixed-width name of one ring element.  A named tuple, so that
+    the hash and equality every code-keyed memo pays per lookup run in C;
+    two codes are equal iff their bits and widths are."""
 
     bits: int
     width: int
@@ -387,19 +389,28 @@ class PolyQuotSpec(RingSpec):
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
+    @cached_property
+    def _reducer(self) -> tuple[tuple[int, int], ...]:
+        """(j, f_j) for the nonzero coefficients of f below its lead: x^d is
+        -sum_j f_j x^j modulo f."""
+        return tuple((j, c) for j, c in enumerate(self.f[:-1]) if c % self.p)
+
     def mul(self, a, b):
+        """Schoolbook product over the nonzero coefficients of both factors,
+        reduced from the top through f's nonzero terms only."""
         d, p = self.deg, self.p
         conv = [0] * (2 * d - 1)
+        terms = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                for j, y in terms:
                     conv[i + j] += x * y
+        reducer = self._reducer
         for i in range(2 * d - 2, d - 1, -1):
             c = conv[i] % p
-            conv[i] = 0
             if c:
-                for j in range(d):
-                    conv[i - d + j] = (conv[i - d + j] - c * self.f[j]) % p
+                for j, fj in reducer:
+                    conv[i - d + j] -= c * fj
         return tuple(v % p for v in conv[:d])
 
     def generator_values(self):

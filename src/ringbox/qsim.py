@@ -8,8 +8,12 @@ subgroup A spanned by generators g_j is the lattice L_A spanned by
 coords(g_j) and the moduli m_i e_i, so |A| = prod(m_i) / det(L_A) and
 |A∩B| = |A||B| / |A+B|; two cosets meet exactly when the difference of their
 offsets lies in L_A + L_B.  Spans are memoized per provider, and a new
-generator tuple extends the span of its longest memoized prefix; when one
-tuple is a prefix of the other, L_A + L_B is the longer span's lattice.
+generator tuple extends the span of its longest memoized prefix.  A decision
+on nested tuples (one a prefix of the other) reads only the shorter span's
+lattice L_A: the cosets coincide iff the extra generators and the offset
+difference lie in L_A.  The overlap of nested tuples takes L_A + L_B as the
+longer span's lattice; a decision computes it only for the sampled shots of
+cosets that differ.
 A span's stacked Hermite form (``intlinalg.stacked_lattice``, the only
 builder of such forms) extends its parent's in the same way, by one column
 per generator past the prefix; its tail rows are seeded with D e_j, D the
@@ -51,6 +55,8 @@ hidden structure directly.
 
 All ground-truth queries run on the ring's unmetered channel: a stand-in
 quantum device's internal oracle calls are not classical algorithm queries.
+A uniform sample sum_j c_j h_j makes none: it is summed in the construction's
+coordinates and encoded once.
 Metered sums of codes with a session go through ``PrimitiveProvider.combine``,
 which keeps each code's doubling table [h, 2h, 4h, ...] per ring and extends
 it only through the metered ``ring.add``: each code is doubled once per session,
@@ -368,6 +374,18 @@ class _Span:
         return tuple(v % s for v, s in zip(n, orders))
 
 
+def _coordinate_sum(ring: RingOracle, codes, coeffs) -> ElementCode:
+    """sum_j coeffs[j] * codes[j] in the construction's additive coordinates,
+    reduced modulo the moduli and encoded once: the ground truth's sum, on
+    no oracle channel (``combine_codes`` sums through one)."""
+    moduli = ring.spec._moduli
+    total = [0] * len(moduli)
+    for c, code in zip(coeffs, codes):
+        if c:
+            total = [t + c * v for t, v in zip(total, ring._coords(code))]
+    return ring._encode(ring.spec.from_coords([t % m for t, m in zip(total, moduli)]))
+
+
 def _double_and_add(op, code: ElementCode, k: int) -> ElementCode:
     """code^k for k >= 1 under the channel's ``mul``, by square-and-multiply
     (sums of codes are ``combine_codes``)."""
@@ -491,9 +509,21 @@ class PrimitiveProvider:
             span = self._spans[key] = _Span(ring, gens, parent)
         return span
 
-    def _exact_overlap(self, a: SubgroupDescriptor, b: SubgroupDescriptor) -> Fraction:
+    @staticmethod
+    def _offset_difference(a: SubgroupDescriptor, b: SubgroupDescriptor) -> list[int]:
+        """coords(a.offset) - coords(b.offset), an absent offset counting as
+        zero, for two descriptors of one ring."""
         if a.ring is not b.ring:
             raise PreconditionError("descriptors live in different rings")
+        ring = a.ring
+        offset = [0] * len(ring.spec._moduli)
+        for off, sign in ((a.offset, 1), (b.offset, -1)):
+            if off is not None:
+                offset = [u + sign * v for u, v in zip(offset, ring._coords(off))]
+        return offset
+
+    def _exact_overlap(self, a: SubgroupDescriptor, b: SubgroupDescriptor) -> Fraction:
+        offset = self._offset_difference(a, b)
         ring = a.ring
         ga, gb = a.generators, b.generators
         sa = self._span(ring, ga)
@@ -507,10 +537,6 @@ class PrimitiveProvider:
             total = sa.lattice.padded(0)
             for col in sb.lattice.basis_columns():
                 total.add(col)
-        offset = [0] * sa.dim
-        for off, sign in ((a.offset, 1), (b.offset, -1)):
-            if off is not None:
-                offset = [u + sign * v for u, v in zip(offset, ring._coords(off))]
         if not total.contains(offset):
             return Fraction(0)
         meet = sa.order * sb.order * total.determinant() // ring._ring_size()
@@ -534,8 +560,32 @@ class PrimitiveProvider:
         zeros = self.swap_shots(c, SWAP_SAMPLES)
         return sqrt(max(0.0, 2.0 * zeros / SWAP_SAMPLES - 1.0))
 
+    def _nested_equal(self, a: SubgroupDescriptor, b: SubgroupDescriptor) -> bool | None:
+        """Whether two cosets whose generator tuples nest coincide, or None
+        when neither tuple extends the other.  With A the shorter tuple's
+        span, A lies in B, so A = B iff every extra generator of the longer
+        tuple lies in L_A, and the cosets then meet iff the offset
+        difference lies in L_A too: ``contains`` on the shorter span's
+        lattice alone, and no span is built for the longer tuple."""
+        short, long = a.generators, b.generators
+        if len(short) > len(long):
+            short, long = long, short
+        if long[: len(short)] != short:
+            return None
+        offset = self._offset_difference(a, b)
+        ring = a.ring
+        contains = self._span(ring, short).lattice.contains
+        return contains(offset) and all(contains(ring._coords(g)) for g in long[len(short) :])
+
     def is_subset_decision(self, a: SubgroupDescriptor, b: SubgroupDescriptor) -> bool:
         """True iff the two coset states coincide (overlap exactly 1).
+
+        When one generator tuple extends the other (every accumulation
+        containment test, B + r*B against B, and every membership test, x + B
+        against B), equality is read off the shorter span's lattice
+        (``_nested_equal``); the overlap itself is computed only for
+        unrelated tuples, and for the shots of a sampled decision whose
+        cosets differ.
 
         Under the sampled backend a single ancilla-1 shot certifies overlap
         < 1; accepting after t all-zero shots errs with probability <=
@@ -545,10 +595,13 @@ class PrimitiveProvider:
         as the shots would advance it.
         """
         self.stats["decisions"] += 1
-        c = self._exact_overlap(a, b)
+        equal = self._nested_equal(a, b)
+        if equal is None or (self.sampled and not equal):
+            c = self._exact_overlap(a, b)
+            equal = c == 1
         if not self.sampled:
-            return c == 1
-        if c == 1:
+            return equal
+        if equal:
             self.rng.getrandbits(64 * self._decision_shots())
             return True
         p0 = float((1 + c * c) / 2)
@@ -796,16 +849,16 @@ class PrimitiveProvider:
 
     def sample_uniform(self, sub: SubgroupDescriptor):
         """(element, coefficient vector) uniform over the subgroup; the
-        coefficients decompose the element over the descriptor's basis."""
+        coefficients decompose the element over the descriptor's basis.  The
+        element sum_j c_j h_j is the ground truth's: summed in the
+        construction's coordinates and encoded once (``_coordinate_sum``),
+        with no oracle call."""
         basis = sub.basis
         if basis is None:
             raise PreconditionError("sample_uniform needs a computed basis")
         self.stats["samples"] += 1
-        chan = sub.ring.unmetered
         coeffs = tuple(self.rng.randrange(s) for s in basis.s)
-        if not any(coeffs):
-            return sub.ring._zero_code(), coeffs
-        return combine_codes(chan, basis.h, coeffs), coeffs
+        return _coordinate_sum(sub.ring, basis.h, coeffs), coeffs
 
     # ---- coordinate spans (cheat-layer service for decomposition) ----
 

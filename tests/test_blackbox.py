@@ -1,5 +1,6 @@
 import random
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from ringbox.blackbox import (
     parse_spec_string,
 )
 from ringbox.verify import ring_elements
+from polymul_reference import schoolbook_mul
 from ringbox.errors import (
     DeskCapError,
     InvalidCodeError,
@@ -117,6 +119,69 @@ def test_invalid_code_rejected():
         r.add(bad, code_of(r, "1"))
     with pytest.raises(InvalidCodeError):
         r.mul(code_of(r, "1"), ElementCode(0, r.width + 1))
+
+
+def test_decode_rejects_a_code_of_another_width():
+    r = make_ring(Z12, 1)
+    zero = r._zero_code()
+    for code in (ElementCode(zero.bits, r.width + 1), ElementCode(zero.bits, r.width - 1)):
+        with pytest.raises(InvalidCodeError):
+            r._decode(code)
+    with pytest.raises(InvalidCodeError):  # the same fields, not a code
+        r._decode((zero.bits, r.width))
+
+
+@given(st.integers(0, 1 << 70), st.integers(1, 72), st.integers(0, 1 << 70), st.integers(1, 72))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_codes_are_equal_iff_bits_and_width_are(b1, w1, b2, w2):
+    for b, w in ((b1, w1), (b2, w1), (b1, w2)):
+        x, y = ElementCode(b1, w1), ElementCode(b, w)
+        same = (b, w) == (b1, w1)
+        assert (x == y) is same and (x != y) is not same
+        if same:
+            assert hash(x) == hash(y)
+            assert {x: 1}[y] == 1
+
+
+def test_code_repr_is_its_bits_in_hex_padded_to_the_width():
+    assert repr(ElementCode(0x2A, 8)) == "<code 2a>"
+    assert repr(ElementCode(5, 9)) == "<code 005>"
+    assert repr(ElementCode(0, 1)) == "<code 0>"
+    assert repr((ElementCode(1, 4),)) == "(<code 1>,)"
+
+
+def test_code_hash_and_equality_run_in_c():
+    # every session memo is keyed on codes; a generated Python __hash__ or
+    # __eq__ costs one interpreted call per lookup
+    for name in ("__hash__", "__eq__"):
+        assert not isinstance(getattr(ElementCode, name), types.FunctionType), name
+
+
+_PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def polyquot_operands(draw):
+    """A polyquot spec (monic f of degree 1..12, often sparse) and two of
+    its elements, also sparse."""
+    p = draw(st.sampled_from(_PRIMES))
+    d = draw(st.integers(1, 12))
+    coeff = st.one_of(st.just(0), st.integers(0, p - 1))
+    f = tuple(draw(st.lists(coeff, min_size=d, max_size=d))) + (1,)
+    spec = PolyQuotSpec(p, f)
+    a, b = (tuple(draw(st.lists(coeff, min_size=d, max_size=d))) for _ in range(2))
+    return spec, a, b
+
+
+@given(polyquot_operands())
+@example((PolyQuotSpec(2, (0,) * 10 + (1,)), (1,) * 10, (0, 1) * 5))  # x^10
+@example((PolyQuotSpec(2, (1, 1) + (0,) * 61 + (1,)), (1,) * 63, (1, 0, 1) * 21))
+@example((PolyQuotSpec(5, (7, 0, 6)), (4, 9), (3, 3)))  # f beyond [0, p)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_polyquot_mul_matches_the_schoolbook_product(operands):
+    spec, a, b = operands
+    assert spec.mul(a, b) == schoolbook_mul(spec, a, b)
+    assert spec.mul(b, a) == schoolbook_mul(spec, b, a)
 
 
 def test_injectivity_and_determinism():

@@ -37,6 +37,7 @@ from ringbox.qsim import (
     PrimitiveProvider,
     ProviderConfig,
     SubgroupDescriptor,
+    _coordinate_sum,
     _moduli_lattice,
     _Span,
     combine_codes,
@@ -521,6 +522,111 @@ def test_stacked_form_extends_the_parent_span(spec, seed):
             assert ext.basis_columns() == fresh.basis_columns()
             parent = span
     assert sum(len(c.args) < 3 or c.args[2] == 0 for c in scratch.call_args_list) == 1
+
+
+def overlap_decision(p, a, b):
+    """Reference swap-test decision that always computes the overlap: the
+    same verdict and the same draws as ``is_subset_decision``."""
+    p.stats["decisions"] += 1
+    c = p._exact_overlap(a, b)
+    if not p.sampled:
+        return c == 1
+    if c == 1:
+        p.rng.getrandbits(64 * p._decision_shots())
+        return True
+    p0 = float((1 + c * c) / 2)
+    return all(p.rng.random() < p0 for _ in range(p._decision_shots()))
+
+
+def check_nested_decisions(spec, seed, backend):
+    """Decisions on nested generator tuples (the longer on either side, with
+    and without offsets) against the overlap and against the reference's
+    verdicts and random stream; an accepted decision, and any exact one,
+    adds no span once the shorter tuple's is memoized."""
+    ring = make_ring(spec, seed)
+    rng = random.Random(seed)
+    chan, zero = ring.unmetered, ring._zero_code()
+    elems = [ring._encode(spec.element_at(rng.randrange(spec.order()))) for _ in range(6)]
+    config = ProviderConfig(backend=backend, seed=seed, epsilon=1e-9)
+    p, ref, truth = (PrimitiveProvider(config) for _ in range(3))
+    verdicts = set()
+    for _ in range(10):
+        short = tuple(rng.choice(elems) for _ in range(rng.randint(0, 3)))
+        # members of the short span (sums of its generators, or zero) keep
+        # the spans equal; random elements usually do not
+        members = [zero] + [chan.add(g, h) for g in short for h in short]
+        pool = members if rng.random() < 0.5 else elems
+        long = short + tuple(rng.choice(pool) for _ in range(rng.randint(0, 2)))
+        x = rng.choice(elems)
+        offsets = rng.choice(((None, None), (x, chan.add(x, rng.choice(members))), (x, None)))
+        pair = [SubgroupDescriptor(ring, short, offset=offsets[0])]
+        pair.append(SubgroupDescriptor(ring, long, offset=offsets[1]))
+        a, b = pair if rng.random() < 0.5 else pair[::-1]
+        p._span(ring, short)
+        spans = len(p._spans)
+        got = p.is_subset_decision(a, b)
+        assert got == overlap_decision(ref, a, b) == (truth._exact_overlap(a, b) == 1)
+        assert p.rng.getstate() == ref.rng.getstate()
+        assert p.stats == ref.stats
+        if got or backend == "exact":
+            assert len(p._spans) == spans
+        verdicts.add(got)
+    return verdicts
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(F2_X10, 11)
+@example(MATRIX_OVER_PRODUCT, 12)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_nested_decisions_read_the_shorter_span(spec, seed):
+    for backend in ("exact", "sampled"):
+        check_nested_decisions(spec, seed, backend)
+
+
+def test_nested_decisions_accept_and_reject_on_desk_rings():
+    for backend in ("exact", "sampled"):
+        verdicts = set()
+        for i, (_, spec) in enumerate(DESK_SUITE):
+            verdicts |= check_nested_decisions(spec, 90 + i, backend)
+        assert verdicts == {True, False}
+
+
+def check_coordinate_sums(spec, seed):
+    """The ground truth's coordinate sum against the double-and-add through
+    the unmetered oracle."""
+    ring = make_ring(spec, seed)
+    rng = random.Random(seed)
+    zero = ring._zero_code()
+    elems = [ring._encode(spec.element_at(rng.randrange(spec.order()))) for _ in range(6)]
+    for _ in range(8):
+        codes = tuple(rng.choice(elems) for _ in range(rng.randint(0, 4)))
+        coeffs = tuple(rng.randrange(3 * spec.order()) if rng.random() < 0.7 else 0 for _ in codes)
+        want = combine_codes(ring.unmetered, codes, coeffs, zero)
+        assert _coordinate_sum(ring, codes, coeffs) == want
+
+
+def test_coordinate_sum_on_desk_rings():
+    for i, (_, spec) in enumerate(DESK_SUITE):
+        check_coordinate_sums(spec, 100 + i)
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@example(F2_X10, 13)
+@given(small_specs(), st.integers(0, 1 << 20))
+def test_coordinate_sum_on_nested_specs(spec, seed):
+    check_coordinate_sums(spec, seed)
 
 
 # -- the field test behind `prime` --------------------------------------------

@@ -612,10 +612,14 @@ def test_basis_marker_counts_at_most_the_generators(over_basis):
 
 class FreshSpans(PrimitiveProvider):
     """Exact provider without span reuse: every span is built from the
-    moduli alone and every overlap is counted by enumeration."""
+    moduli alone, and every decision, nested tuples included, reads an
+    overlap counted by enumeration."""
 
     def _span(self, ring, gens):
         return _Span(ring, gens)
+
+    def _nested_equal(self, a, b):
+        return None
 
     def _exact_overlap(self, a, b):
         ring, zero = a.ring, a.ring._zero_code()
@@ -648,8 +652,9 @@ def desk_op_mix(ring, p):
 
 
 def test_span_reuse_keeps_answers_counts_and_streams():
-    """Extended spans and nested overlaps change no answer, metered count
-    or random draw against spans built afresh and overlaps by enumeration."""
+    """Extended spans and nested decisions read off the shorter span change
+    no answer, metered count or random draw against spans built afresh and
+    overlaps by enumeration."""
     for i, (_, spec) in enumerate(DESK_SUITE):
         ring, twin = make_ring(spec, 20 + i), make_ring(spec, 20 + i)
         config = ProviderConfig(seed=i, epsilon=1e-9)
@@ -781,6 +786,34 @@ def test_coordinate_spot_check_makes_no_oracle_call(monkeypatch):
     assert calls == {"add": 0, "mul": 0}
     provider().solve_ahsp(oracle_twin(max(defaults, key=lambda h: len(h.moduli))))
     assert calls["add"] > 0  # the counters see the oracle path
+
+
+def test_sample_uniform_makes_no_oracle_call(monkeypatch):
+    # the sample is summed in coordinates and encoded once; counted as the
+    # coordinate spot check counts, by wrapping the ring's raw oracles
+    for _, spec in DESK_SUITE[:7]:
+        ring = make_ring(spec, 4)
+        p = provider(seed=8)
+        basis = ops.ring_representation(ring, p).basis
+        span = SubgroupDescriptor(ring, basis.h, basis=basis)
+        calls = {"add": 0, "mul": 0}
+        raw = {"add": ring._raw_add, "mul": ring._raw_mul}
+
+        def counted(name):
+            def wrapped(a, b):
+                calls[name] += 1
+                return raw[name](a, b)
+
+            return wrapped
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ring, "_raw_add", counted("add"))
+            patch.setattr(ring, "_raw_mul", counted("mul"))
+            samples = [p.sample_uniform(span) for _ in range(20)]
+        assert calls == {"add": 0, "mul": 0}
+        zero = ring._zero_code()
+        for code, coeffs in samples:
+            assert code == combine_codes(ring.unmetered, basis.h, coeffs, zero)
 
 
 def test_solve_ahsp_constant_function():
